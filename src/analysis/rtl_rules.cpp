@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <set>
 
+#include "analysis/occupancy.h"
 #include "analysis/rules.h"
 #include "util/strings.h"
 
@@ -13,17 +14,6 @@ namespace mframe::analysis {
 namespace {
 
 using dfg::NodeId;
-
-/// Folded steps occupied by `n` on a (possibly pipelined) ALU.
-std::vector<int> occupied(const dfg::Dfg& g, const sched::Schedule& s,
-                          NodeId n, bool pipelined, int latency) {
-  auto fold = [&](int st) { return latency > 0 ? (st - 1) % latency : st; };
-  std::vector<int> out;
-  const int start = s.stepOf(n);
-  const int cycles = pipelined ? 1 : g.node(n).cycles;
-  for (int st = start; st < start + cycles; ++st) out.push_back(fold(st));
-  return out;
-}
 
 Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
                 std::string message, std::string fixit = "") {
@@ -52,14 +42,24 @@ Location at(std::string node, int step = -1, int unit = -1,
 LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
                         rtl::DesignStyle style) {
   LintReport r;
+  // -- RTL014: a default Datapath (e.g. of an infeasible result) -----------
+  if (!d.graph || !d.lib || !d.schedule.sharedGraph()) {
+    r.add(diag(kRtlNoGraph, EntityKind::Design, {},
+               "datapath has no graph, cell library or schedule (is it the "
+               "result of an infeasible run?)",
+               "verify only the datapaths of feasible results"));
+    return r;
+  }
   const dfg::Dfg& g = *d.graph;
 
   // -- RTL001..RTL004: binding ----------------------------------------------
-  std::map<NodeId, int> seen;
+  // seen[op] = the ALU index op was last bound to, kUnbound when none.
+  constexpr int kUnbound = std::numeric_limits<int>::min();
+  std::vector<int> seen(g.size(), kUnbound);
   for (const rtl::AluInstance& a : d.alus) {
     const celllib::Module& m = d.lib->module(a.module);
     for (NodeId op : a.ops) {
-      if (seen.count(op))
+      if (seen[op] != kUnbound)
         r.add(diag(kRtlDoubleBinding, EntityKind::Alu,
                    at(g.node(op).name, -1, a.index),
                    util::format("op '%s' bound to ALU%d and ALU%d",
@@ -80,7 +80,7 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
     }
   }
   for (NodeId op : g.operations())
-    if (!seen.count(op))
+    if (seen[op] == kUnbound)
       r.add(diag(kRtlUnboundOp, EntityKind::Node, at(g.node(op).name),
                  util::format("op '%s' is not bound to any ALU",
                               g.node(op).name.c_str())));
@@ -89,25 +89,17 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
   // -- RTL005: ALU occupancy ------------------------------------------------
   for (const rtl::AluInstance& a : d.alus) {
     const bool pipelined = d.lib->module(a.module).stages > 1;
-    for (std::size_t i = 0; i < a.ops.size(); ++i) {
-      for (std::size_t j = i + 1; j < a.ops.size(); ++j) {
-        const NodeId x = a.ops[i];
-        const NodeId y = a.ops[j];
-        if (g.mutuallyExclusive(x, y)) continue;
-        const auto ox = occupied(g, d.schedule, x, pipelined, c.latency);
-        const auto oy = occupied(g, d.schedule, y, pipelined, c.latency);
-        const bool clash = std::any_of(ox.begin(), ox.end(), [&](int st) {
-          return std::find(oy.begin(), oy.end(), st) != oy.end();
-        });
-        if (clash)
-          r.add(diag(kRtlAluOverlap, EntityKind::Alu,
-                     at(g.node(x).name, d.schedule.stepOf(x), a.index,
-                        g.node(y).name),
-                     util::format("ALU%d executes '%s' and '%s' concurrently",
-                                  a.index, g.node(x).name.c_str(),
-                                  g.node(y).name.c_str()),
-                     "rebind one operation or reschedule it"));
-      }
+    for (const auto& [i, j] :
+         occupancyConflicts(g, d.schedule, a.ops, pipelined, c.latency)) {
+      const NodeId x = a.ops[i];
+      const NodeId y = a.ops[j];
+      r.add(diag(kRtlAluOverlap, EntityKind::Alu,
+                 at(g.node(x).name, d.schedule.stepOf(x), a.index,
+                    g.node(y).name),
+                 util::format("ALU%d executes '%s' and '%s' concurrently",
+                              a.index, g.node(x).name.c_str(),
+                              g.node(y).name.c_str()),
+                 "rebind one operation or reschedule it"));
     }
   }
 
@@ -131,18 +123,15 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
   // -- RTL007/RTL008: registers --------------------------------------------
   for (std::size_t reg = 0; reg < d.regs.registers.size(); ++reg) {
     const auto& packed = d.regs.registers[reg];
-    for (std::size_t i = 0; i < packed.size(); ++i)
-      for (std::size_t j = i + 1; j < packed.size(); ++j)
-        if (d.lifetimes[packed[i]].overlaps(d.lifetimes[packed[j]]))
-          r.add(diag(kRtlRegisterOverlap, EntityKind::Register,
-                     at(g.node(d.lifetimes[packed[i]].producer).name, -1,
-                        static_cast<int>(reg),
-                        g.node(d.lifetimes[packed[j]].producer).name),
-                     util::format("register R%zu holds overlapping signals '%s' "
-                                  "and '%s'", reg,
-                                  g.node(d.lifetimes[packed[i]].producer).name.c_str(),
-                                  g.node(d.lifetimes[packed[j]].producer).name.c_str()),
-                     "repack the lifetimes into disjoint registers"));
+    for (const auto& [i, j] : overlappingLifetimes(d.lifetimes, packed)) {
+      const std::string& a = g.node(d.lifetimes[packed[i]].producer).name;
+      const std::string& b = g.node(d.lifetimes[packed[j]].producer).name;
+      r.add(diag(kRtlRegisterOverlap, EntityKind::Register,
+                 at(a, -1, static_cast<int>(reg), b),
+                 util::format("register R%zu holds overlapping signals '%s' "
+                              "and '%s'", reg, a.c_str(), b.c_str()),
+                 "repack the lifetimes into disjoint registers"));
+    }
   }
   for (const alloc::Lifetime& lt : d.lifetimes)
     if (lt.needsRegister && !d.regOfSignal.count(lt.producer))

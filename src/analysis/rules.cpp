@@ -52,6 +52,8 @@ const std::vector<RuleInfo>& allRules() {
        "two non-exclusive operations occupy one FU instance simultaneously"},
       {kSchedResourceLimit, "sched", Severity::Error,
        "FU instances used exceed the per-type resource limit"},
+      {kSchedNoGraph, "sched", Severity::Error,
+       "schedule has no graph (e.g. the schedule of an infeasible result)"},
       // RTL family: structural checks over the allocated datapath.
       {kRtlDoubleBinding, "rtl", Severity::Error,
        "operation bound to more than one ALU"},
@@ -79,6 +81,8 @@ const std::vector<RuleInfo>& allRules() {
        "microcode field references a nonexistent datapath component"},
       {kRtlFieldOverflow, "rtl", Severity::Error,
        "microcode row value does not fit its field width (or shape mismatch)"},
+      {kRtlNoGraph, "rtl", Severity::Error,
+       "datapath lacks its graph, cell library or schedule (e.g. of an infeasible result)"},
       // EQV family: the symbolic translation validator (mframe prove).
       {kEqvParseFailure, "eqv", Severity::Error,
        "bound-design (.bind) file fails to parse against the design"},

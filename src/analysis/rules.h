@@ -59,6 +59,7 @@ inline constexpr std::string_view kSchedChainOverflow = "SCH005";
 inline constexpr std::string_view kSchedMidStepStart = "SCH006";
 inline constexpr std::string_view kSchedOccupancy = "SCH007";
 inline constexpr std::string_view kSchedResourceLimit = "SCH008";
+inline constexpr std::string_view kSchedNoGraph = "SCH009";
 // -- RTL family --------------------------------------------------------------
 inline constexpr std::string_view kRtlDoubleBinding = "RTL001";
 inline constexpr std::string_view kRtlNonOpBound = "RTL002";
@@ -73,6 +74,7 @@ inline constexpr std::string_view kRtlBusContention = "RTL010";
 inline constexpr std::string_view kRtlBusIdle = "RTL011";
 inline constexpr std::string_view kRtlBadFieldRef = "RTL012";
 inline constexpr std::string_view kRtlFieldOverflow = "RTL013";
+inline constexpr std::string_view kRtlNoGraph = "RTL014";
 // -- EQV family (translation validator, src/analysis/validate/) --------------
 inline constexpr std::string_view kEqvParseFailure = "EQV000";
 inline constexpr std::string_view kEqvOperandMismatch = "EQV001";

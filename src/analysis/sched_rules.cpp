@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "analysis/occupancy.h"
 #include "analysis/rules.h"
 #include "util/strings.h"
 
@@ -15,23 +16,6 @@ using dfg::NodeId;
 using sched::Constraints;
 using sched::Placement;
 using sched::Schedule;
-
-/// Steps during which `n` occupies its FU column, folded mod latency when
-/// functional pipelining is on. Structurally pipelined FUs are handled
-/// separately (start-step conflicts only).
-std::vector<int> occupiedSteps(const dfg::Node& n, const Placement& p,
-                               const Constraints& c) {
-  std::vector<int> steps;
-  for (int s = p.step; s < p.step + n.cycles; ++s)
-    steps.push_back(c.latency > 0 ? ((s - 1) % c.latency) : s);
-  return steps;
-}
-
-bool stepsIntersect(const std::vector<int>& a, const std::vector<int>& b) {
-  for (int x : a)
-    if (std::find(b.begin(), b.end(), x) != b.end()) return true;
-  return false;
-}
 
 Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
                 std::string message, std::string fixit = "") {
@@ -59,6 +43,13 @@ Location at(std::string node, int step = -1, int unit = -1,
 
 LintReport lintSchedule(const Schedule& s, const Constraints& c) {
   LintReport r;
+  // -- SCH009: a default Schedule (e.g. of an infeasible result) -----------
+  if (!s.sharedGraph()) {
+    r.add(diag(kSchedNoGraph, EntityKind::Design, {},
+               "schedule has no graph (is it the result of an infeasible run?)",
+               "verify only the schedules of feasible results"));
+    return r;
+  }
   const dfg::Dfg& g = s.graph();
   const int cs = s.numSteps();
 
@@ -88,7 +79,7 @@ LintReport lintSchedule(const Schedule& s, const Constraints& c) {
   // -- SCH004..SCH006: precedence (with chaining) ---------------------------
   // chainOff[n] = combinational offset (ns) at which n's result is ready
   // within its own step, or 0 when the value crosses a step boundary.
-  std::map<NodeId, double> chainOff;
+  std::vector<double> chainOff(g.size(), 0.0);
   const auto order = g.topoOrder();
   for (NodeId id : *order) {
     const dfg::Node& n = g.node(id);
@@ -143,29 +134,17 @@ LintReport lintSchedule(const Schedule& s, const Constraints& c) {
   for (const auto& [key, ops] : byColumn) {
     const auto [type, col] = key;
     const bool pipelined = c.pipelinedFus.count(type) > 0;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      for (std::size_t j = i + 1; j < ops.size(); ++j) {
-        const dfg::Node& a = g.node(ops[i]);
-        const dfg::Node& b = g.node(ops[j]);
-        if (g.mutuallyExclusive(a.id, b.id)) continue;
-        bool conflict;
-        if (pipelined) {
-          // One initiation per step (fold starts mod latency when L > 0).
-          auto fold = [&](int st) { return c.latency > 0 ? (st - 1) % c.latency : st; };
-          conflict = fold(s.stepOf(a.id)) == fold(s.stepOf(b.id));
-        } else {
-          conflict = stepsIntersect(occupiedSteps(a, s.at(a.id), c),
-                                    occupiedSteps(b, s.at(b.id), c));
-        }
-        if (conflict)
-          r.add(diag(kSchedOccupancy, EntityKind::Fu,
-                     at(a.name, s.stepOf(a.id), col, b.name),
-                     util::format("occupancy conflict on %s#%d: '%s'@%d vs '%s'@%d",
-                                  std::string(dfg::fuTypeName(type)).c_str(), col,
-                                  a.name.c_str(), s.stepOf(a.id), b.name.c_str(),
-                                  s.stepOf(b.id)),
-                     "move one operation to a free column or another step"));
-      }
+    for (const auto& [i, j] :
+         occupancyConflicts(g, s, ops, pipelined, c.latency)) {
+      const dfg::Node& a = g.node(ops[i]);
+      const dfg::Node& b = g.node(ops[j]);
+      r.add(diag(kSchedOccupancy, EntityKind::Fu,
+                 at(a.name, s.stepOf(a.id), col, b.name),
+                 util::format("occupancy conflict on %s#%d: '%s'@%d vs '%s'@%d",
+                              std::string(dfg::fuTypeName(type)).c_str(), col,
+                              a.name.c_str(), s.stepOf(a.id), b.name.c_str(),
+                              s.stepOf(b.id)),
+                 "move one operation to a free column or another step"));
     }
   }
 

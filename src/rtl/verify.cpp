@@ -1,6 +1,7 @@
 #include "rtl/verify.h"
 
 #include "analysis/rtl_rules.h"
+#include "trace/trace.h"
 
 namespace mframe::rtl {
 
@@ -11,6 +12,7 @@ namespace mframe::rtl {
 std::vector<std::string> verifyDatapath(const Datapath& d,
                                         const sched::Constraints& c,
                                         DesignStyle style) {
+  const trace::Span span("verify.datapath");
   return analysis::lintDatapath(d, c, style).messages();
 }
 

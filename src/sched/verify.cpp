@@ -1,6 +1,7 @@
 #include "sched/verify.h"
 
 #include "analysis/sched_rules.h"
+#include "trace/trace.h"
 
 namespace mframe::sched {
 
@@ -9,6 +10,7 @@ namespace mframe::sched {
 // legacy entry point keeps the historical string contract (same messages,
 // same order, same early-out on incomplete placements).
 std::vector<std::string> verifySchedule(const Schedule& s, const Constraints& c) {
+  const trace::Span span("verify.schedule");
   return analysis::lintSchedule(s, c).messages();
 }
 

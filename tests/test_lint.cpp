@@ -10,6 +10,7 @@
 #include <string>
 
 #include "celllib/ncr_like.h"
+#include "core/mfs.h"
 #include "core/mfsa.h"
 #include "dfg/builder.h"
 #include "dfg/parser.h"
@@ -17,6 +18,8 @@
 #include "rtl/bus.h"
 #include "rtl/controller.h"
 #include "rtl/microcode.h"
+#include "rtl/verify.h"
+#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::analysis {
@@ -401,9 +404,47 @@ TEST(LintSchedule, ResourceLimitFires) {  // SCH008
   EXPECT_TRUE(fires(lintSchedule(s, c), kSchedResourceLimit));
 }
 
+TEST(LintSchedule, NullGraphFires) {  // SCH009
+  // A default Schedule, as an infeasible scheduler result carries, has no
+  // graph: the lint reports it instead of dereferencing null.
+  const auto expectNoGraph = [](const sched::Schedule& s) {
+    const LintReport r = lintSchedule(s, {});
+    ASSERT_EQ(r.size(), 1u);
+    EXPECT_TRUE(fires(r, kSchedNoGraph));
+    EXPECT_TRUE(r.hasErrors());
+    EXPECT_EQ(sched::verifySchedule(s, {}), r.messages());
+  };
+  expectNoGraph(sched::Schedule{});
+  core::MfsOptions o;
+  o.constraints.timeSteps = 2;  // below diffeq's critical path
+  const core::MfsResult infeasible = core::runMfs(workloads::diffeq(), o);
+  ASSERT_FALSE(infeasible.feasible);
+  expectNoGraph(infeasible.schedule);
+}
+
 // ---------------------------------------------------------------------------
 // RTL rule positives
 // ---------------------------------------------------------------------------
+
+TEST(LintRtl, NullGraphFires) {  // RTL014
+  const auto expectNoGraph = [](const rtl::Datapath& d) {
+    for (const rtl::DesignStyle style :
+         {rtl::DesignStyle::Unrestricted, rtl::DesignStyle::NoSelfLoop}) {
+      const LintReport r = lintDatapath(d, {}, style);
+      ASSERT_EQ(r.size(), 1u);
+      EXPECT_TRUE(fires(r, kRtlNoGraph));
+      EXPECT_EQ(rtl::verifyDatapath(d, {}, style), r.messages());
+    }
+  };
+  expectNoGraph(rtl::Datapath{});
+  const core::MfsaResult infeasible = synth(workloads::diffeq(), 2);
+  ASSERT_FALSE(infeasible.feasible);
+  expectNoGraph(infeasible.datapath);
+  // A graph but no library or schedule is just as unusable.
+  rtl::Datapath partial;
+  partial.graph = std::make_shared<const dfg::Dfg>(workloads::diffeq());
+  expectNoGraph(partial);
+}
 
 TEST(LintRtl, DoubleBindingFires) {  // RTL001
   auto res = synth(test::smallDiamond(), 3);

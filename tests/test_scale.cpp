@@ -1,5 +1,6 @@
 // Scale regression tests for the arena/CSR DFG core: deep chains and wide
-// fan-outs that used to crash or go quadratic, counter linearity in N,
+// fan-outs that used to crash or go quadratic, verifiers on one column, ALU
+// and register pair holding 10^5 ops, counter linearity in N,
 // job-count invariance, and the cold-graph concurrency hammer that pins
 // down the eager-freeze fix for the old lazy successor cache.
 #include <gtest/gtest.h>
@@ -15,7 +16,10 @@
 #include "dfg/builder.h"
 #include "dfg/transforms.h"
 #include "explore/explore.h"
+#include "rtl/datapath.h"
+#include "rtl/verify.h"
 #include "sched/timeframes.h"
+#include "sched/verify.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 #include "workloads/random_dfg.h"
@@ -113,6 +117,34 @@ TEST(Scale, DeepChainCoreAlgorithmsAreLinear) {
   EXPECT_EQ(fix.values.back(), kOps);
   EXPECT_EQ(counter(trace::Counter::DataflowWorklistIterations) - before,
             static_cast<std::uint64_t>(g.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Verifiers: a 10^5-op chain placed one op per step on a single FU column,
+// then bound to a single ALU with its lifetimes packed into two registers
+// (the chain value and the held input). The old all-pairs SCH007 and RTL005
+// made ~5*10^9 pair checks each here; the bucketed checks see one op per
+// step. ctest's TIMEOUT turns a quadratic regression into a failure, not a
+// hang.
+
+TEST(Scale, VerifiersStayLinear) {
+  constexpr int kOps = 100000;
+  const dfg::Dfg g = deepChain(kOps);
+  sched::Schedule s(g);
+  int step = 0;
+  for (const NodeId op : g.operations()) s.place(op, ++step, 1);
+  s.setNumSteps(step);
+  sched::Constraints c;
+  c.timeSteps = kOps;
+  EXPECT_TRUE(sched::verifySchedule(s, c).empty());
+
+  static const celllib::CellLibrary lib = celllib::ncrLike();
+  rtl::AluInstance alu;
+  alu.module = *lib.cheapestFor(dfg::FuType::Adder);
+  alu.ops.assign(g.operations().begin(), g.operations().end());
+  const rtl::Datapath d = rtl::buildDatapath(g, lib, s, {alu});
+  EXPECT_EQ(d.regs.count(), 2u);
+  EXPECT_TRUE(rtl::verifyDatapath(d, c, rtl::DesignStyle::Unrestricted).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include "celllib/ncr_like.h"
 #include "core/mfsa.h"
 #include "explore/explore.h"
+#include "rtl/verify.h"
+#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::trace {
@@ -109,6 +111,22 @@ TEST(Trace, BeginTracingClearsThePreviousSession) {
   const std::string j = traceJson();
   EXPECT_EQ(j.find("stale-span"), std::string::npos);
   EXPECT_NE(j.find("fresh-span"), std::string::npos);
+}
+
+TEST(Trace, VerifiersRecordTheirSpans) {
+  ScopedInstrumentation scoped;
+  static const celllib::CellLibrary lib = celllib::ncrLike();
+  core::MfsaOptions o;
+  o.constraints.timeSteps = 4;
+  const auto r = core::runMfsa(workloads::diffeq(), lib, o);
+  ASSERT_TRUE(r.feasible) << r.error;
+  beginTracing();
+  EXPECT_TRUE(sched::verifySchedule(r.datapath.schedule, o.constraints).empty());
+  EXPECT_TRUE(rtl::verifyDatapath(r.datapath, o.constraints, o.style).empty());
+  endTracing();
+  const std::string j = traceJson();
+  EXPECT_NE(j.find("\"name\": \"verify.schedule\""), std::string::npos);
+  EXPECT_NE(j.find("\"name\": \"verify.datapath\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ import sys
 d = json.load(open(sys.argv[1]))
 names = {e["name"] for e in d["traceEvents"]}
 need = {"parse", "preflight-lint", "timeframes", "mfsa",
-        "rtl.datapath", "rtl.controller"}
+        "rtl.datapath", "rtl.controller", "verify.datapath"}
 missing = need - names
 assert not missing, f"trace smoke: missing spans {missing}"
 assert d["metrics"]["counters"]["mfsa.candidates"] > 0
@@ -119,10 +119,12 @@ BENCH_COMPARE_SKIP_TIME=1 "$repo/tools/bench-compare.sh" \
 # The explorer's worker threads, the tune candidate race and the audit's
 # parallel per-step scan are exactly the code the sanitizers should chew
 # on; ctest above already ran the whole suite under ASan/UBSan, but run the
-# determinism tests once more explicitly at a high jobs count.
-echo "==== explorer, tune, audit, range and cache determinism under ASan/UBSan"
+# determinism tests once more explicitly at a high jobs count, plus the
+# verifiers' null-graph guards (a default Schedule/Datapath used to SEGV).
+echo "==== determinism and null-graph guards under ASan/UBSan"
 "$repo/build-ci-asan/tests/mframe_tests" \
-  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*' --gtest_brief=1
+  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*:*NullGraph*' \
+  --gtest_brief=1
 
 echo "==== clang-tidy (warnings are errors)"
 "$repo/tools/run-tidy.sh" "$repo/build-ci"

@@ -67,6 +67,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -489,9 +490,12 @@ dfg::Dfg makeRandomDesign(const std::string& spec) {
     if (eq == std::string::npos)
       die("random: option '" + parts[i] + "' is not key=value");
     const std::string key = parts[i].substr(0, eq);
-    const int val = std::atoi(parts[i].c_str() + eq + 1);
-    if (val <= 0 && key != "mul" && key != "twocycle")
-      die("random: option '" + parts[i] + "' needs a positive value");
+    const long parsed = util::parseLong(std::string_view(parts[i]).substr(eq + 1));
+    const bool percent = key == "mul" || key == "twocycle";
+    if (parsed < (percent ? 0 : 1) || parsed > std::numeric_limits<int>::max())
+      die("random: option '" + parts[i] + "' needs a " +
+          (percent ? "non-negative" : "positive") + " integer value");
+    const int val = static_cast<int>(parsed);
     if (key == "ops") o.numOps = val;
     else if (key == "seed") o.seed = static_cast<std::uint32_t>(val);
     else if (key == "width") o.layerWidth = val;
