@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dfg/builder.h"
 #include "helpers.h"
 
@@ -141,6 +143,15 @@ struct MutexCase {
   const char* b;
   bool exclusive;
 };
+
+// Without this gtest prints the raw bytes of the two pointers, so the case
+// names (which ctest derives from the printed value) would change with every
+// load address.
+void PrintTo(const MutexCase& c, std::ostream* os) {
+  auto path = [](const char* p) { return *p ? p : "(unconditional)"; };
+  *os << path(c.a) << " vs " << path(c.b)
+      << (c.exclusive ? " is exclusive" : " is not exclusive");
+}
 
 class BranchPathTest : public ::testing::TestWithParam<MutexCase> {};
 
