@@ -75,6 +75,33 @@ std::optional<std::vector<NodeId>> topoConsistentOrder(
   return out;
 }
 
+std::optional<Unplaceable> unplaceableOp(const dfg::Dfg& g,
+                                         const sched::Constraints& c) {
+  auto refuse = [](NodeId id, const std::string& why) {
+    return Unplaceable{id, "infeasible for any number of steps: " + why};
+  };
+  for (NodeId id : g.operations()) {
+    const FuType t = dfg::fuTypeOf(g.kindOf(id));
+    const int cycles = g.cyclesOf(id);
+    const char* name = g.node(id).name.c_str();
+    const std::string type(dfg::fuTypeName(t));
+    if (auto lim = c.fuLimit.find(t); lim != c.fuLimit.end() && lim->second <= 0)
+      return refuse(id, util::format("'%s' needs %s units but fuLimit allows %d",
+                                     name, type.c_str(), lim->second));
+    if (c.allowChaining && cycles == 1 && g.delayOf(id) > c.clockNs)
+      return refuse(id, util::format("single-cycle %s '%s' takes %g ns, longer "
+                                     "than the %g ns clock (chaining on)",
+                                     type.c_str(), name, g.delayOf(id),
+                                     c.clockNs));
+    if (c.latency > 0 && cycles > c.latency && !c.pipelinedFus.count(t))
+      return refuse(id, util::format("'%s' takes %d cycles, more than the "
+                                     "latency %d, and %s units are not "
+                                     "pipelined",
+                                     name, cycles, c.latency, type.c_str()));
+  }
+  return std::nullopt;
+}
+
 MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
   const trace::Span span("mfs");
   MfsResult res;
@@ -89,6 +116,11 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     res.steps = 0;
     return res;
   }
+  sched::Constraints c = opt.constraints;
+  if (auto bad = unplaceableOp(g, c)) {
+    res.error = bad->reason;
+    return res;
+  }
   // One graph snapshot per run, shared by every placement attempt — a fresh
   // Schedule(g) per attempt deep-copied the whole graph on each restart.
   const auto snap = std::make_shared<const dfg::Dfg>(g);
@@ -98,81 +130,84 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
        g.size() >= kFrontierAutoThreshold);
 
   const bool timeMode = opt.mode == MfsLiapunov::Mode::TimeConstrained;
-  sched::Constraints c = opt.constraints;
 
-  // Resource mode: start at the critical path and stretch cs until feasible.
-  // Time mode: cs is fixed by the user.
+  // The only timeframe build of the run, laid out at the critical path.
+  // ASAP, the reversed ASAP, the peak bounds and hence the priority order do
+  // not depend on cs (ALAP is a pure shift), so every step below reuses them
+  // and only widens ALAP.
   std::string tfError;
-  sched::Constraints probe;  // unconstrained probe to find the critical path
+  sched::Constraints probe;  // frames depend on chaining and clock only
   probe.allowChaining = c.allowChaining;
   probe.clockNs = c.clockNs;
-  auto tf0 = computeTimeFrames(g, probe, &tfError);
-  if (!tf0) {
+  auto tf = computeTimeFrames(g, probe, &tfError);
+  if (!tf) {
     res.error = tfError;
     return res;
   }
-  int cs = timeMode ? c.timeSteps : std::max(tf0->criticalSteps(), c.timeSteps);
-  if (timeMode && cs < tf0->criticalSteps()) {
+  // Resource mode: start at the critical path and stretch cs until feasible.
+  // Time mode: cs is fixed by the user.
+  int cs = timeMode ? c.timeSteps : std::max(tf->criticalSteps(), c.timeSteps);
+  if (timeMode && cs < tf->criticalSteps()) {
     res.error = util::format("time constraint %d below critical path %d", cs,
-                             tf0->criticalSteps());
+                             tf->criticalSteps());
     return res;
   }
   if (cs <= 0) {
     res.error = "time-constrained MFS needs constraints.timeSteps > 0";
     return res;
   }
+  if (timeMode && cs > opt.maxStepsCap) {
+    res.error = util::format("time constraint %d exceeds maxStepsCap %d", cs,
+                             opt.maxStepsCap);
+    return res;
+  }
+
+  // Step 2: per-type column bounds and initial current_j.
+  std::vector<TypeState> types(dfg::kNumFuTypes);
+  for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t) {
+    const auto ft = static_cast<FuType>(t);
+    auto lim = c.fuLimit.find(ft);
+    if (lim != c.fuLimit.end()) {
+      types[t].maxCols = lim->second;
+      types[t].userLimited = true;
+    } else {
+      types[t].maxCols = std::max(1, tf->upperBound(ft));
+    }
+    if (timeMode) {
+      const auto nOps = static_cast<int>(g.countOfType(ft));
+      types[t].current = std::clamp(
+          static_cast<int>(std::ceil(static_cast<double>(nOps) / cs)), 1,
+          types[t].maxCols);
+    } else {
+      // Resource mode: all allowed units are immediately usable; the
+      // redundant frame is empty and V = cs*x + y discourages new columns.
+      types[t].current = types[t].maxCols;
+    }
+  }
+
+  std::vector<NodeId> priority = sched::priorityOrder(g, *tf, opt.priorityRule);
+  if (!opt.priorityHint.empty()) {
+    // Hinted ops jump the queue; the rest keep their computed order.
+    std::vector<char> hinted(g.size(), 0);
+    std::vector<NodeId> merged;
+    merged.reserve(priority.size());
+    for (NodeId id : opt.priorityHint) {
+      if (id >= g.size() || hinted[id] || !dfg::isSchedulable(g.kindOf(id)))
+        continue;
+      hinted[id] = 1;
+      merged.push_back(id);
+    }
+    for (NodeId id : priority)
+      if (!hinted[id]) merged.push_back(id);
+    priority = std::move(merged);
+  }
+  const auto order = topoConsistentOrder(g, priority, &res.error);
+  if (!order) return res;
 
   for (; cs <= opt.maxStepsCap; ++cs) {
+    trace::bump(trace::Counter::MfsStepSweeps);
     c.timeSteps = cs;
-    auto tf = computeTimeFrames(g, c, &tfError);
-    if (!tf) {
-      res.error = tfError;
-      return res;
-    }
-
-    // Step 2: per-type column bounds and initial current_j.
-    std::vector<TypeState> types(dfg::kNumFuTypes);
-    for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t) {
-      const auto ft = static_cast<FuType>(t);
-      auto lim = c.fuLimit.find(ft);
-      if (lim != c.fuLimit.end()) {
-        types[t].maxCols = lim->second;
-        types[t].userLimited = true;
-      } else {
-        types[t].maxCols = std::max(1, tf->upperBound(ft));
-      }
-      if (timeMode) {
-        const auto nOps = static_cast<int>(g.countOfType(ft));
-        types[t].current = std::clamp(
-            static_cast<int>(std::ceil(static_cast<double>(nOps) / cs)), 1,
-            types[t].maxCols);
-      } else {
-        // Resource mode: all allowed units are immediately usable; the
-        // redundant frame is empty and V = cs*x + y discourages new columns.
-        types[t].current = types[t].maxCols;
-      }
-    }
-
-    std::vector<NodeId> priority =
-        sched::priorityOrder(g, *tf, opt.priorityRule);
-    if (!opt.priorityHint.empty()) {
-      // Hinted ops jump the queue; the rest keep their computed order.
-      std::vector<char> hinted(g.size(), 0);
-      std::vector<NodeId> merged;
-      merged.reserve(priority.size());
-      for (NodeId id : opt.priorityHint) {
-        if (id >= g.size() || hinted[id] ||
-            !dfg::isSchedulable(g.kindOf(id)))
-          continue;
-        hinted[id] = 1;
-        merged.push_back(id);
-      }
-      for (NodeId id : priority)
-        if (!hinted[id]) merged.push_back(id);
-      priority = std::move(merged);
-    }
-    const auto order = topoConsistentOrder(g, priority, &res.error);
-    if (!order) return res;
+    tf->widenTo(cs);
 
     bool csInfeasible = false;
     while (!csInfeasible) {  // placement attempts at this cs

@@ -42,7 +42,8 @@ struct MfsOptions {
   /// move frame, current_j is increased and placement redone).
   int maxRestarts = 10000;
 
-  /// Resource-constrained mode: upper bound on the schedule length searched.
+  /// Upper bound on the schedule length: the resource-constrained search
+  /// stops here, and a larger time constraint is refused.
   int maxStepsCap = 4096;
 
   /// Record the Liapunov trace (one value per move) for the monotonicity
@@ -65,8 +66,29 @@ struct MfsResult {
 };
 
 /// Run MFS on `g`. The graph must validate; in time-constrained mode
-/// opt.constraints.timeSteps must be >= the critical path.
+/// opt.constraints.timeSteps must be >= the critical path and <= maxStepsCap.
+/// Both modes first run unplaceableOp and fail at once when it finds an op.
 MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt);
+
+/// An operation that no grid cell can hold, whatever the schedule length.
+struct Unplaceable {
+  dfg::NodeId op = dfg::kNoNode;
+  std::string reason;  ///< names the op and the bound it breaks
+};
+
+/// Infeasibility proof in one O(V) pass, run before any step is tried: the
+/// first operation (by id) that the placement code rejects at every cs, or
+/// nullopt. It checks exactly the cases placement rejects independently of
+/// the step and of the other operations:
+///  * chaining on, a single-cycle op whose delay exceeds clockNs — it cannot
+///    even fill a step alone (FrameCalculator::depOk / depWindow);
+///  * latency > 0, an op whose cycles exceed the latency on a type outside
+///    pipelinedFus — it would overlap its own next initiation
+///    (ColumnOccupancy::canPlace);
+///  * an op whose type has a fuLimit <= 0.
+/// nullopt is no promise of feasibility; the step sweep still decides.
+std::optional<Unplaceable> unplaceableOp(const dfg::Dfg& g,
+                                         const sched::Constraints& c);
 
 /// Convenience: topologically consistent priority order — the paper's
 /// priority list, refined so no operation precedes one of its predecessors

@@ -54,6 +54,16 @@ std::optional<celllib::ModuleId> cheapestCovering(const celllib::CellLibrary& li
   return best;
 }
 
+/// unplaceableOp for MFSA, which pipelines a type through the library's
+/// multi-stage modules rather than through constraints.pipelinedFus.
+std::optional<Unplaceable> unplaceableOnLibrary(const dfg::Dfg& g,
+                                                const celllib::CellLibrary& lib,
+                                                sched::Constraints c) {
+  for (const celllib::Module& m : lib.modules())
+    if (m.stages > 1) c.pipelinedFus.insert(m.caps.begin(), m.caps.end());
+  return unplaceableOp(g, c);
+}
+
 }  // namespace
 
 MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
@@ -76,6 +86,10 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   sched::Constraints c = opt.constraints;
   if (c.timeSteps <= 0) {
     res.error = "MFSA needs constraints.timeSteps > 0";
+    return res;
+  }
+  if (auto bad = unplaceableOnLibrary(g, lib, c)) {
+    res.error = bad->reason;
     return res;
   }
   std::string tfError;
@@ -509,6 +523,10 @@ MfsaResult runMfsaResourceConstrained(const dfg::Dfg& g,
                                       const celllib::CellLibrary& lib,
                                       MfsaOptions opt, int maxStepsCap) {
   MfsaResult last;
+  if (auto bad = unplaceableOnLibrary(g, lib, opt.constraints)) {
+    last.error = bad->reason;
+    return last;
+  }
   std::string tfError;
   sched::Constraints probe = opt.constraints;
   probe.timeSteps = 0;

@@ -1,6 +1,7 @@
 #include "sched/timeframes.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "trace/trace.h"
 #include "util/strings.h"
@@ -70,10 +71,21 @@ int TimeFrames::upperBound(dfg::FuType t) const {
   return std::max(asapPeak_[i], alapPeak_[i]);
 }
 
+void TimeFrames::widenTo(int cs) {
+  if (cs < steps_)
+    throw std::invalid_argument(util::format(
+        "TimeFrames::widenTo(%d) below the laid-out %d steps", cs, steps_));
+  const int shift = cs - steps_;
+  for (TimeFrame& f : frames_)
+    if (f.asap > 0) f.alap += shift;  // non-operation nodes keep {0, 0}
+  steps_ = cs;
+}
+
 std::optional<TimeFrames> computeTimeFrames(const dfg::Dfg& g,
                                             const Constraints& c,
                                             std::string* error) {
   const trace::Span span("timeframes");
+  trace::bump(trace::Counter::TimeframesBuilds);
   TimeFrames tf;
   tf.frames_.assign(g.size(), {});
 
@@ -101,6 +113,7 @@ std::optional<TimeFrames> computeTimeFrames(const dfg::Dfg& g,
                             critical);
     return std::nullopt;
   }
+  tf.steps_ = cs;
 
   // ALAP by running the same ASAP core on the reversed precedence relation,
   // then mirroring reversed steps back into forward time.

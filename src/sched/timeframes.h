@@ -33,6 +33,17 @@ class TimeFrames {
   /// Length of the critical path in control steps (the minimum feasible cs).
   int criticalSteps() const { return criticalSteps_; }
 
+  /// The cs these frames were laid out for.
+  int steps() const { return steps_; }
+
+  /// Re-target the frames to `cs` control steps without re-deriving them.
+  /// ASAP and the reversed ASAP do not depend on cs, and ALAP is
+  /// cs - rasap - cycles + 2, so every ALAP (and mobility) shifts by the same
+  /// amount: priority order and the peak bounds are unchanged. Only widening
+  /// is allowed (cs >= steps()), which can never invert a valid frame; a
+  /// narrower cs throws std::invalid_argument.
+  void widenTo(int cs);
+
   /// Peak same-type concurrency of the ASAP (resp. ALAP) schedule; the paper
   /// uses max(ASAP, ALAP) as the FU upper bound when the user gives none.
   const std::vector<int>& asapPeak() const { return asapPeak_; }
@@ -46,6 +57,7 @@ class TimeFrames {
  private:
   std::vector<TimeFrame> frames_;
   int criticalSteps_ = 0;
+  int steps_ = 0;
   std::vector<int> asapPeak_ = std::vector<int>(dfg::kNumFuTypes, 0);
   std::vector<int> alapPeak_ = std::vector<int>(dfg::kNumFuTypes, 0);
 };

@@ -56,6 +56,8 @@ std::string_view counterName(Counter c) {
     case Counter::RangeFindings: return "range.findings";
     case Counter::DfgFreezes: return "dfg.freezes";
     case Counter::DfgCsrEdges: return "dfg.csrEdges";
+    case Counter::MfsStepSweeps: return "mfs.stepSweeps";
+    case Counter::TimeframesBuilds: return "timeframes.builds";
     case Counter::kCount: break;
   }
   return "?";

@@ -68,6 +68,8 @@ enum class Counter : int {
   RangeFindings,          ///< WID diagnostics emitted
   DfgFreezes,             ///< Dfg::freeze index builds
   DfgCsrEdges,            ///< CSR edges laid out across all freezes
+  MfsStepSweeps,          ///< MFS step counts (cs values) tried
+  TimeframesBuilds,       ///< computeTimeFrames calls
   kCount
 };
 

@@ -267,6 +267,29 @@ TEST(Tune, CountersAndJsonBitIdenticalAcrossJobs) {
   EXPECT_EQ(counters1, counters8);
 }
 
+TEST(Tune, SlowchainFailsFast) {
+  // At 40 ns the derated clock is shorter than an add's observed delay, so
+  // the three chaining candidates of every iteration can place nothing. The
+  // infeasibility proof refuses them up front; the blind step sweep used to
+  // run each to the 4096-step cap, 98,308 timeframe builds in all.
+  const dfg::Dfg g = slowchain();
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  TuneOptions opt = slowchainOptions();
+  opt.constraints.clockNs = 40.0;
+  opt.budget = 8;
+
+  trace::enableCounters(true);
+  trace::resetCounters();
+  const TuneResult r = tuneDesign(g, lib, opt);
+  const std::uint64_t builds =
+      trace::counterValue(trace::Counter::TimeframesBuilds);
+  trace::enableCounters(false);
+
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 8);
+  EXPECT_LT(builds, 100u);
+}
+
 TEST(Tune, AlreadyMeetingClockConvergesWithoutIterating) {
   const dfg::Dfg g = slowchain();
   const celllib::CellLibrary lib = celllib::ncrLike();
