@@ -91,19 +91,25 @@ void BM_ScaleMfsa(benchmark::State& state) {
   const bool countersWereOn = trace::countersEnabled();
   trace::enableCounters(true);
   const std::uint64_t c0 = trace::counterValue(trace::Counter::MfsaCommits);
+  const std::uint64_t p0 =
+      trace::counterValue(trace::Counter::OccupancyProbes);
   for (auto _ : state) {
     auto r = core::runMfsa(g, lib, o);
     benchmark::DoNotOptimize(r.feasible);
   }
+  const double opRuns = static_cast<double>(state.iterations()) * ops;
   // ~1 commit per op per run proves the pass stayed restart-free linear.
   state.counters["commitsPerOp"] = static_cast<double>(
-      trace::counterValue(trace::Counter::MfsaCommits) - c0) /
-      (static_cast<double>(state.iterations()) * ops);
+      trace::counterValue(trace::Counter::MfsaCommits) - c0) / opRuns;
+  // canPlace probes per op: flat in N while firstFit skips held steps.
+  state.counters["probesPerOp"] = static_cast<double>(
+      trace::counterValue(trace::Counter::OccupancyProbes) - p0) / opRuns;
   trace::enableCounters(countersWereOn);
 }
 BENCHMARK(BM_ScaleMfsa)
     ->ArgsProduct({{0, 1, 2}, {10000}})
     ->Args({0, 100000})
+    ->Args({2, 100000})
     ->Unit(benchmark::kMillisecond);
 
 // The full `mframe analyze` pipeline: dataflow lint + schedule + bind + STA.

@@ -67,6 +67,11 @@ class FrameCalculator {
       if (s == boundaryStep && !aboveOk) return 0;
       return s + 1 <= hi ? s + 1 : 0;
     }
+    /// Last dependency-feasible step given `first` = firstStep(lo, hi): the
+    /// feasible steps are exactly [first, lastStep(first, hi)].
+    int lastStep(int first, int hi) const {
+      return first == boundaryStep && !aboveOk ? first : hi;
+    }
   };
   DepWindow depWindow(const sched::Schedule& s, dfg::NodeId n) const;
 

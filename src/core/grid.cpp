@@ -1,7 +1,10 @@
 #include "core/grid.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+
+#include "trace/trace.h"
 
 namespace mframe::core {
 
@@ -65,9 +68,60 @@ bool ColumnOccupancy::canPlace(dfg::NodeId n, int col, int step) const {
   return true;
 }
 
+int ColumnOccupancy::nextSoftStep(int col, int step) const {
+  const auto c = static_cast<std::size_t>(col);
+  if (c >= hard_.size()) return step;
+  const std::vector<std::uint64_t>& words = hard_[c];
+  std::size_t w = static_cast<std::size_t>(step) >> 6;
+  if (w >= words.size()) return step;
+  // Soft steps from `step` to the end of its word; the shift fills the top
+  // with zeros, which read as "hard" and send the search to the next word.
+  const std::uint64_t soft = ~words[w] >> (step & 63);
+  if (soft != 0) return step + std::countr_zero(soft);
+  for (++w; w < words.size(); ++w)
+    if (~words[w] != 0)
+      return static_cast<int>(w * 64) + std::countr_zero(~words[w]);
+  return static_cast<int>(w * 64);  // past the last word: nothing is hard
+}
+
+void ColumnOccupancy::setHard(int col, int step, bool hard) {
+  if (step < 1) return;  // steps start at 1; firstFit never looks lower
+  const auto c = static_cast<std::size_t>(col);
+  const auto w = static_cast<std::size_t>(step) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (step & 63);
+  if (!hard) {
+    if (c < hard_.size() && w < hard_[c].size()) hard_[c][w] &= ~bit;
+    return;
+  }
+  if (c >= hard_.size()) hard_.resize(c + 1);
+  if (w >= hard_[c].size()) hard_[c].resize(w + 1, 0);
+  hard_[c][w] |= bit;
+}
+
+int ColumnOccupancy::firstFit(dfg::NodeId n, int col, int lo, int hi) const {
+  // canPlace ignores n's own cells, which the index counts as hard, so a
+  // column already holding n is scanned step by step.
+  const bool indexed =
+      plainCells(col) && !(isPlaced(n) && whereCol_[n] == col);
+  int step = std::max(lo, 1);
+  while (step <= hi) {
+    if (indexed) {
+      step = nextSoftStep(col, step);
+      if (step > hi) break;
+    }
+    trace::bump(trace::Counter::OccupancyProbes);
+    if (canPlace(n, col, step)) return step;
+    if (step == hi) break;
+    ++step;
+  }
+  return 0;
+}
+
 void ColumnOccupancy::place(dfg::NodeId n, int col, int step) {
   assert(!isPlaced(n));
   for (std::uint64_t k : cellsFor(n, col, step)) cell_[k].push_back(n);
+  if (plainCells(col) && g_->isUnconditional(n))
+    for (int s = step; s < step + g_->cyclesOf(n); ++s) setHard(col, s, true);
   ensureNode(n);
   whereCol_[n] = col;
   whereStep_[n] = step;
@@ -85,6 +139,18 @@ void ColumnOccupancy::remove(dfg::NodeId n) {
     v.erase(std::remove(v.begin(), v.end(), n), v.end());
     if (v.empty()) cell_.erase(k);
   }
+  if (plainCells(col) && g_->isUnconditional(n)) {
+    // The step stays hard only while another unconditional op holds it.
+    for (int s = step; s < step + g_->cyclesOf(n); ++s) {
+      const auto it = cell_.find(key(col, s));
+      setHard(col, s,
+              it != cell_.end() &&
+                  std::any_of(it->second.begin(), it->second.end(),
+                              [&](dfg::NodeId o) {
+                                return g_->isUnconditional(o);
+                              }));
+    }
+  }
   whereCol_[n] = 0;
   whereStep_[n] = 0;
   --opsPerCol_[static_cast<std::size_t>(col)];
@@ -92,6 +158,7 @@ void ColumnOccupancy::remove(dfg::NodeId n) {
 
 void ColumnOccupancy::clear() {
   cell_.clear();
+  hard_.clear();
   whereCol_.assign(whereCol_.size(), 0);
   whereStep_.assign(whereStep_.size(), 0);
   opsPerCol_.assign(opsPerCol_.size(), 0);

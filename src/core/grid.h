@@ -19,6 +19,12 @@
 // millions of times on large graphs and the old std::map-of-pairs layout
 // spent the run chasing red-black-tree pointers.
 //
+// On plain columns (no folding, not pipelined) a per-column bitset marks the
+// "hard" steps: those held by an unconditional op (empty branch path). Such
+// an op is mutually exclusive with nothing, so no other op can start on a
+// hard step, and firstFit() skips them 64 steps per word before asking
+// canPlace() about the step it lands on.
+//
 // MFS composes one ColumnOccupancy per FU type (class Grid); MFSA reuses
 // ColumnOccupancy with one column per allocated ALU instance.
 #pragma once
@@ -38,6 +44,7 @@ class ColumnOccupancy {
       : g_(&g), latency_(c.latency) {}
 
   /// Mark a column as structurally pipelined (start-step conflicts only).
+  /// Set it before placing ops on the column.
   void setPipelined(int col, bool pipelined);
   bool isPipelined(int col) const {
     const auto i = static_cast<std::size_t>(col);
@@ -46,6 +53,11 @@ class ColumnOccupancy {
 
   /// Can `n` start at `step` on `col` without an occupancy conflict?
   bool canPlace(dfg::NodeId n, int col, int step) const;
+
+  /// Earliest step in [max(lo, 1), hi] where canPlace(n, col, step) holds;
+  /// 0 when there is none. canPlace() judges every step returned; on plain
+  /// columns the hard-step index only skips steps it would refuse.
+  int firstFit(dfg::NodeId n, int col, int lo, int hi) const;
 
   void place(dfg::NodeId n, int col, int step);
   void remove(dfg::NodeId n);
@@ -73,6 +85,9 @@ class ColumnOccupancy {
   /// folding aliasing — the hot case that needs no materialized key list.
   bool plainCells(int col) const { return latency_ <= 0 && !isPipelined(col); }
   void ensureNode(dfg::NodeId n);
+  /// First step >= `step` that is not hard on plain column `col`.
+  int nextSoftStep(int col, int step) const;
+  void setHard(int col, int step, bool hard);
 
   const dfg::Dfg* g_;
   int latency_;
@@ -81,6 +96,9 @@ class ColumnOccupancy {
   std::vector<int> whereCol_;   ///< by node; 0 = not placed
   std::vector<int> whereStep_;  ///< by node; start step when placed
   std::vector<int> opsPerCol_;  ///< ops currently resident per column
+  /// By column, plain columns only: bit s set when step s is held by an
+  /// unconditional op.
+  std::vector<std::vector<std::uint64_t>> hard_;
 };
 
 /// MFS's 3-D space: one column table per FU type.

@@ -283,15 +283,13 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
           // bounds, so the lowest column holding any feasible step
           // dominates; within it, the earliest such step.
           const auto w = fc.depWindow(s, id);
-          for (int col = 1; col <= colHi && !found; ++col)
-            for (int step = w.firstStep(tf->asap(id), tf->alap(id));
-                 step != 0; step = w.nextStep(step, tf->alap(id))) {
-              trace::bump(trace::Counter::LiapunovCellEvals);
-              if (occ.canPlace(id, col, step)) {
-                consider(step, col);
-                break;
-              }
-            }
+          const int lo = w.firstStep(tf->asap(id), tf->alap(id));
+          const int hi = w.lastStep(lo, tf->alap(id));
+          for (int col = 1; col <= colHi && lo != 0 && !found; ++col) {
+            trace::bump(trace::Counter::LiapunovCellEvals);
+            if (const int step = occ.firstFit(id, col, lo, hi))
+              consider(step, col);
+          }
         }
 
         if (!found) {

@@ -31,10 +31,6 @@ struct AluState {
   std::vector<NodeId> ops;
   alloc::MuxArrangement arrangement;
   double muxCost = 0.0;
-  /// Memoized f_MUX of try-adding an op to this ALU (the mux delta is
-  /// step-independent, so one value serves every candidate step).
-  /// Invalidated whenever an op commits to this ALU.
-  std::map<NodeId, double> muxDeltaMemo;
 };
 
 /// Cheapest library module covering `caps` with the given stage count;
@@ -258,9 +254,14 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       std::vector<Candidate> cands;
 
       // Frontier mode: one dependency window per op replaces the per-step
-      // depOk pred walks across every candidate ALU.
-      const auto dw = frontier ? fc.depWindow(s, id)
-                               : FrameCalculator::DepWindow{};
+      // depOk pred walks across every candidate ALU. Its feasible steps
+      // form the run [depLo, depHi] (depLo == 0: none).
+      int depLo = 0, depHi = 0;
+      if (frontier) {
+        const auto dw = fc.depWindow(s, id);
+        depLo = dw.firstStep(tf->asap(id), tf->alap(id));
+        depHi = dw.lastStep(depLo, tf->alap(id));
+      }
 
       auto pushSteps = [&](AluState* owner, celllib::ModuleId module,
                            double fAlu) {
@@ -268,17 +269,14 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
         // the bus-cost delta when building a bus architecture. The mux delta
         // is step-independent; the bus delta depends on the chosen step.
         // For an existing ALU the delta comes from the incremental
-        // arrangeInputsDelta against the cached arrangement, memoized per
-        // (ALU, op) so upgrade and same-module probes share one evaluation.
+        // arrangeInputsDelta against the cached arrangement.
         const int aluIdx = owner ? owner->index : -1;
         double fMux = 0.0;
         if (opt.interconnect == InterconnectStyle::Mux) {
           if (owner == nullptr) {
             fMux = freshMux;
           } else if (frontier) {
-            // O(1) probe pricing the O(1) greedy commit below; no memo —
-            // each op probes an ALU at most once per pass, so the map was
-            // pure allocation churn at scale.
+            // O(1) probe pricing the O(1) greedy commit below.
             const auto d = alloc::appendDelta(g, owner->arrangement, id);
             fMux = lib.muxCost(static_cast<int>(d.left)) +
                    lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
@@ -287,17 +285,11 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
             after.push_back(id);
             fMux = alloc::muxCostOf(lib, alloc::arrangeInputs(g, after)) -
                    owner->muxCost;
-          } else if (auto memo = owner->muxDeltaMemo.find(id);
-                     memo != owner->muxDeltaMemo.end()) {
-            trace::bump(trace::Counter::MuxMemoHits);
-            fMux = memo->second;
           } else {
-            trace::bump(trace::Counter::MuxMemoMisses);
             const auto d =
                 alloc::arrangeInputsDelta(g, owner->arrangement, owner->ops, id);
             fMux = lib.muxCost(static_cast<int>(d.left)) +
                    lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
-            owner->muxDeltaMemo.emplace(id, fMux);
           }
         }
         auto pushOne = [&](int step) {
@@ -318,12 +310,10 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           // The contribution is non-decreasing in the step for this fixed
           // (ALU, module) and the tie-break prefers the earlier step, so
           // the earliest feasible step dominates all later ones.
-          for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
-               step = dw.nextStep(step, tf->alap(id))) {
-            if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
-            pushOne(step);
-            break;
-          }
+          if (depLo == 0) return;
+          const int step =
+              aluIdx < 0 ? depLo : occ.firstFit(id, aluIdx + 1, depLo, depHi);
+          if (step != 0) pushOne(step);
           return;
         }
         for (int step = tf->asap(id); step <= tf->alap(id); ++step) {
@@ -473,9 +463,6 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
         a.arrangement = alloc::arrangeInputs(g, a.ops);
       }
       a.muxCost = alloc::muxCostOf(lib, a.arrangement);
-      if (!a.muxDeltaMemo.empty())
-        trace::bump(trace::Counter::MuxMemoInvalidations);
-      a.muxDeltaMemo.clear();  // the cached deltas were against the old ops
       trace::bump(trace::Counter::MfsaCommits);
 
       occ.place(id, aluIdx + 1, chosen->step);

@@ -59,7 +59,7 @@ struct MfsaOptions {
 
   /// Evaluate each candidate's f_MUX with the incremental
   /// alloc::arrangeInputsDelta against the ALU's cached arrangement
-  /// (memoized per ALU × op) instead of re-running the full two-pass
+  /// instead of re-running the full two-pass
   /// arrangement per candidate. The delta is exact, so results are
   /// identical either way; the switch exists for differential testing.
   bool incrementalMux = true;

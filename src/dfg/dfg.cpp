@@ -114,10 +114,13 @@ void Dfg::freeze() {
     const auto next = static_cast<std::uint32_t>(scopeOff_.size() - 1);
     auto [it, inserted] = pathIds.try_emplace(nd.branchPath, next);
     if (inserted) {
-      for (const std::string& comp : util::split(nd.branchPath, '.')) {
-        const auto cid = static_cast<std::uint32_t>(compIds.size());
-        scopeComp_.push_back(compIds.try_emplace(comp, cid).first->second);
-      }
+      // The empty path gets no components (split would yield one empty one),
+      // which is what isUnconditional tests.
+      if (!nd.branchPath.empty())
+        for (const std::string& comp : util::split(nd.branchPath, '.')) {
+          const auto cid = static_cast<std::uint32_t>(compIds.size());
+          scopeComp_.push_back(compIds.try_emplace(comp, cid).first->second);
+        }
       scopeOff_.push_back(static_cast<std::uint32_t>(scopeComp_.size()));
     }
     scope_[nd.id] = it->second;
@@ -192,7 +195,6 @@ bool Dfg::mutuallyExclusive(NodeId a, NodeId b) const {
   const std::uint32_t sa = scope_[a];
   const std::uint32_t sb = scope_[b];
   if (sa == sb) return false;  // identical paths never diverge
-  if (nodes_[a].branchPath.empty() || nodes_[b].branchPath.empty()) return false;
   const std::uint32_t* ca = scopeComp_.data() + scopeOff_[sa];
   const std::uint32_t* cb = scopeComp_.data() + scopeOff_[sb];
   const std::size_t la = scopeOff_[sa + 1] - scopeOff_[sa];

@@ -157,6 +157,14 @@ class Dfg {
   /// Total; frozen graphs compare interned component ids (no splitting).
   bool mutuallyExclusive(NodeId a, NodeId b) const;
 
+  /// True if `id` has an empty branch path: it runs in every execution, so
+  /// it is mutually exclusive with no node. Total; frozen graphs read the
+  /// interned scope (an empty path has no components).
+  bool isUnconditional(NodeId id) const {
+    if (!frozen_) return nodes_[id].branchPath.empty();
+    return scopeOff_[scope_[id] + 1] == scopeOff_[scope_[id]];
+  }
+
   /// Find a node by signal name; kNoNode if absent. Total; frozen graphs
   /// answer from a hash table, unfrozen graphs scan.
   NodeId findByName(std::string_view name) const;

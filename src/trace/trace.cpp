@@ -29,9 +29,6 @@ std::string_view counterName(Counter c) {
     case Counter::MuxFullArrangements: return "mux.fullArrangements";
     case Counter::MuxDeltaIncremental: return "mux.deltaIncremental";
     case Counter::MuxDeltaRebuilds: return "mux.deltaRebuilds";
-    case Counter::MuxMemoHits: return "mux.memoHits";
-    case Counter::MuxMemoMisses: return "mux.memoMisses";
-    case Counter::MuxMemoInvalidations: return "mux.memoInvalidations";
     case Counter::DataflowWorklistIterations:
       return "dataflow.worklistIterations";
     case Counter::DataflowWidenings: return "dataflow.widenings";
@@ -58,6 +55,7 @@ std::string_view counterName(Counter c) {
     case Counter::DfgCsrEdges: return "dfg.csrEdges";
     case Counter::MfsStepSweeps: return "mfs.stepSweeps";
     case Counter::TimeframesBuilds: return "timeframes.builds";
+    case Counter::OccupancyProbes: return "occupancy.probes";
     case Counter::kCount: break;
   }
   return "?";
@@ -97,8 +95,6 @@ double rateOf(Counter hit, Counter miss) {
 
 std::vector<std::pair<std::string_view, double>> derivedRates() {
   std::vector<std::pair<std::string_view, double>> out;
-  out.emplace_back("mux.memoHitRate",
-                   rateOf(Counter::MuxMemoHits, Counter::MuxMemoMisses));
   out.emplace_back("mux.deltaIncrementalRate",
                    rateOf(Counter::MuxDeltaIncremental,
                           Counter::MuxDeltaRebuilds));

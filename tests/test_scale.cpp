@@ -1,8 +1,9 @@
 // Scale regression tests for the arena/CSR DFG core: deep chains and wide
 // fan-outs that used to crash or go quadratic, verifiers on one column, ALU
-// and register pair holding 10^5 ops, counter linearity in N,
-// job-count invariance, and the cold-graph concurrency hammer that pins
-// down the eager-freeze fix for the old lazy successor cache.
+// and register pair holding 10^5 ops, counter linearity in N (MFSA's
+// frontier occupancy probes included), job-count invariance, and the
+// cold-graph concurrency hammer that pins down the eager-freeze fix for the
+// old lazy successor cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include "analysis/dataflow/engine.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
+#include "core/mfsa.h"
 #include "dfg/builder.h"
 #include "dfg/transforms.h"
 #include "explore/explore.h"
@@ -210,6 +212,40 @@ TEST(Scale, CountersGrowLinearlyInN) {
     EXPECT_GE(visits[1], visits[0]) << "topology " << static_cast<int>(topo);
     EXPECT_LE(edges[1], edges[0] * 22 / 10) << "topology " << static_cast<int>(topo);
   }
+}
+
+// ---------------------------------------------------------------------------
+// MFSA's frontier scan asks ColumnOccupancy::firstFit for each (ALU, module)
+// candidate's earliest step. Skipping the steps unconditional ops hold keeps
+// the canPlace probes it makes linear in N on a transformer; walking each
+// ALU's occupied run step by step made them grow 3.6x from 10k to 20k ops.
+
+TEST(Scale, MfsaFrontierProbesStayLinear) {
+  const CounterScope counters;
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  std::uint64_t probes[2];
+  const int sizes[2] = {10000, 20000};
+  for (int i = 0; i < 2; ++i) {
+    workloads::RandomDfgOptions wopt;
+    wopt.topology = workloads::DfgTopology::Transformer;
+    wopt.numOps = sizes[i];
+    wopt.layerWidth = 32;
+    wopt.numInputs = 8;
+    wopt.seed = 42;
+    const dfg::Dfg g = workloads::randomDfg(wopt);
+    core::MfsaOptions opt;
+    sched::Constraints probe;
+    opt.constraints.timeSteps =
+        sched::computeTimeFrames(g, probe)->criticalSteps();
+    opt.traceLiapunov = false;
+    const std::uint64_t p0 = counter(trace::Counter::OccupancyProbes);
+    const auto r = core::runMfsa(g, lib, opt);
+    ASSERT_TRUE(r.feasible) << r.error;
+    probes[i] = counter(trace::Counter::OccupancyProbes) - p0;
+  }
+  EXPECT_GT(probes[0], 0u);
+  EXPECT_LE(probes[1], probes[0] * 22 / 10)
+      << "probes " << probes[0] << " -> " << probes[1];
 }
 
 // ---------------------------------------------------------------------------

@@ -67,13 +67,15 @@ echo "==== interval, dataflow and range arithmetic under UBSan"
   --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:Bind*' \
   --gtest_brief=1
 
-# Scale smoke in the plain tree: a 100k-op random DFG through the full
-# synth and analyze pipelines must stay in single-digit seconds (ISSUE-10
-# acceptance bound; `timeout` turns a quadratic regression into a hard
+# Scale smoke in the plain tree: 100k-op conv and transformer DFGs through
+# the full synth pipeline, and conv through analyze, must stay in
+# single-digit seconds (`timeout` turns a quadratic regression into a hard
 # failure instead of a hung CI run).
 echo "==== 100k-op synth + analyze smoke (plain tree)"
 timeout 120 "$repo/build-ci/tools/mframe" synth \
   random:conv,ops=100000,width=64 --metrics > /dev/null
+timeout 120 "$repo/build-ci/tools/mframe" synth \
+  random:transformer,ops=100000,width=32 --metrics > /dev/null
 timeout 120 "$repo/build-ci/tools/mframe" analyze \
   random:conv,ops=100000,width=64 > /dev/null
 
@@ -123,7 +125,7 @@ BENCH_COMPARE_SKIP_TIME=1 "$repo/tools/bench-compare.sh" \
 # verifiers' null-graph guards (a default Schedule/Datapath used to SEGV).
 echo "==== determinism and null-graph guards under ASan/UBSan"
 "$repo/build-ci-asan/tests/mframe_tests" \
-  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*:*NullGraph*:*Infeasib*' \
+  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*:*NullGraph*:*Infeasib*:*FirstFit*:*ProbesStayLinear*' \
   --gtest_brief=1
 
 echo "==== clang-tidy (warnings are errors)"
