@@ -47,7 +47,7 @@ constexpr workloads::DfgTopology kTopos[] = {
     workloads::DfgTopology::Conv, workloads::DfgTopology::Lstm,
     workloads::DfgTopology::Transformer};
 
-// Graph construction + eager freeze (CSR build) itself.
+// Graph construction (Builder::build lays out the CSR) itself.
 void BM_ScaleBuild(benchmark::State& state) {
   const auto topo = kTopos[static_cast<std::size_t>(state.range(0))];
   const int ops = static_cast<int>(state.range(1));

@@ -7,6 +7,7 @@
 #include "analysis/validate/validate.h"
 #include "cache/resynth.h"
 #include "core/mfs.h"
+#include "dfg/builder.h"
 #include "dfg/transforms.h"
 #include "explore/thread_pool.h"
 #include "rtl/datapath.h"
@@ -185,11 +186,11 @@ TuneResult tuneDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           m.mode = core::MfsLiapunov::Mode::ResourceConstrained;
           if (i == 3) {
             // Whole-design re-schedule with the physically observed delays.
-            dfg::Dfg gObs = g;
+            dfg::Builder obs(g);
             for (dfg::NodeId op : g.operations())
               if (crit.observedDelayNs[op] > 0)
-                gObs.mutableNode(op).delayNs = crit.observedDelayNs[op];
-            gObs.freeze();
+                obs.setDelayNs(op, crit.observedDelayNs[op]);
+            const dfg::Dfg gObs = std::move(obs).build();
             m.priorityHint = crit.ranked;
             const core::MfsResult res = core::runMfs(gObs, m);
             if (!res.feasible) return;
@@ -197,17 +198,17 @@ TuneResult tuneDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
             if (!scheduleOk(full, opt.constraints)) return;
             cand.schedule = std::move(full);
           } else {
-            dfg::Dfg cone = cut.cone;
-            for (dfg::NodeId cid = 0; cid < cone.size(); ++cid) {
+            dfg::Builder observed(cut.cone);
+            for (dfg::NodeId cid = 0; cid < cut.cone.size(); ++cid) {
               const dfg::NodeId full = cut.coneToFull[cid];
               if (full == dfg::kNoNode ||
-                  !dfg::isSchedulable(cone.node(cid).kind))
+                  !dfg::isSchedulable(cut.cone.node(cid).kind))
                 continue;
               double d = crit.observedDelayNs[full];
               if (i == 1) d *= 1.25;
-              if (d > 0) cone.mutableNode(cid).delayNs = d;
+              if (d > 0) observed.setDelayNs(cid, d);
             }
-            cone.freeze();
+            const dfg::Dfg cone = std::move(observed).build();
             if (i == 2) m.constraints.allowChaining = false;
             m.priorityHint = coneHint;
             const core::MfsResult res = core::runMfs(cone, m);

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "analysis/rules.h"
+#include "dfg/builder.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 
@@ -168,29 +169,25 @@ dfg::Dfg applyFixes(const dfg::Dfg& g, const DataflowResult& analysis) {
 
   // Rebuild in original id order; that order is topological, and every
   // operand of a kept op is itself kept or folded, so the remap is total.
-  dfg::Dfg fixed(g.name());
+  dfg::Builder fixed(g.name());
   std::vector<NodeId> remap(n, dfg::kNoNode);
   for (NodeId id = 0; id < n; ++id) {
     if (action[id] == Action::Drop) continue;
-    dfg::Node node = g.node(id);
-    node.id = dfg::kNoNode;  // reassigned by addNode
+    const dfg::Node node = g.node(id);
     if (action[id] == Action::Fold) {
+      // A constant holds on every execution path: no branch, no timing.
       const sim::Word folded = analysis.constants[id].value;
-      node.kind = OpKind::Const;
-      node.inputs.clear();
-      node.cycles = 1;
-      node.delayNs = -1.0;
-      node.branchPath.clear();  // a constant holds on every execution path
-      node.constValue = static_cast<long>(folded);
+      remap[id] = fixed.constant(static_cast<long>(folded), node.name);
+      fixed.setWidth(remap[id], node.width);
     } else {
-      for (NodeId& in : node.inputs) in = remap[in];
+      std::vector<NodeId> inputs;
+      for (NodeId in : node.inputs) inputs.push_back(remap[in]);
+      remap[id] = fixed.copy(node, node.name, std::move(inputs));
     }
-    remap[id] = fixed.addNode(std::move(node));
   }
   for (const auto& [id, ext] : g.outputs())
-    if (id < n && remap[id] != dfg::kNoNode) fixed.markOutput(remap[id], ext);
-  fixed.freeze();
-  return fixed;
+    if (id < n && remap[id] != dfg::kNoNode) fixed.output(remap[id], ext);
+  return std::move(fixed).buildLenient();
 }
 
 }  // namespace mframe::analysis::dataflow

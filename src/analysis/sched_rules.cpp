@@ -77,10 +77,18 @@ LintReport lintSchedule(const Schedule& s, const Constraints& c) {
   if (!r.empty()) return r;  // later checks assume complete placement
 
   // -- SCH004..SCH006: precedence (with chaining) ---------------------------
+  // A dependence cycle (only a leniently built graph has one, see DFG003)
+  // has no topological order, so no schedule can meet precedence.
+  const auto order = g.topoOrder();
+  if (!order) {
+    r.add(diag(kSchedPrecedence, EntityKind::Design, {},
+               "precedence cannot hold: the graph has a dependence cycle",
+               "break the cycle (see DFG003)"));
+    return r;
+  }
   // chainOff[n] = combinational offset (ns) at which n's result is ready
   // within its own step, or 0 when the value crosses a step boundary.
   std::vector<double> chainOff(g.size(), 0.0);
-  const auto order = g.topoOrder();
   for (NodeId id : *order) {
     const dfg::Node& n = g.node(id);
     if (!dfg::isSchedulable(n.kind)) continue;

@@ -9,7 +9,7 @@ namespace mframe::baseline {
 
 AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c) {
   AsapResult res;
-  if (auto err = g.validate()) {
+  if (const auto& err = g.validate()) {
     res.error = "invalid DFG: " + *err;
     return res;
   }

@@ -43,7 +43,7 @@ bool propagate(const dfg::Dfg& g, int cs, std::vector<Frame>& f) {
 
 FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c) {
   FdsResult res;
-  if (auto err = g.validate()) {
+  if (const auto& err = g.validate()) {
     res.error = "invalid DFG: " + *err;
     return res;
   }

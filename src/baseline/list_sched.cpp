@@ -16,7 +16,7 @@ using dfg::NodeId;
 
 ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c) {
   ListSchedResult res;
-  if (auto err = g.validate()) {
+  if (const auto& err = g.validate()) {
     res.error = "invalid DFG: " + *err;
     return res;
   }

@@ -220,9 +220,6 @@ std::string mfsEnvText(const core::MfsOptions& opt) {
 
 std::string mfsaEnvText(const core::MfsaOptions& opt,
                         const celllib::CellLibrary& lib) {
-  // incrementalMux is absent for the same reason as traceLiapunov: the
-  // delta arrangement is exact, so both settings synthesize bit-identical
-  // designs (the switch exists only for differential testing).
   std::string out = "mfsa ";
   out += constraintsText(opt.constraints);
   out += util::format(

@@ -6,20 +6,20 @@ namespace mframe::core {
 
 FrameCalculator::DepCheck FrameCalculator::depOk(const sched::Schedule& s,
                                                  dfg::NodeId n, int step) const {
-  const int cycles = g_->cyclesOf(n);
+  const int cycles = g_->node(n).cycles;
   DepCheck out;
   double off = 0.0;
   for (dfg::NodeId p : g_->opPreds(n)) {
     if (!s.isPlaced(p)) continue;  // scheduled later; ASAP already bounds us
-    const int pEnd = s.stepOf(p) + g_->cyclesOf(p) - 1;
+    const int pEnd = s.stepOf(p) + g_->node(p).cycles - 1;
     if (pEnd < step) continue;
     if (pEnd > step) return {};  // predecessor still busy after our start
     // Predecessor finishes exactly in our step: only a chain can save this.
-    if (!c_->allowChaining || g_->cyclesOf(p) > 1 || cycles > 1) return {};
+    if (!c_->allowChaining || g_->node(p).cycles > 1 || cycles > 1) return {};
     off = std::max(off, chainOffsetOf(p));
   }
   if (c_->allowChaining && cycles == 1) {
-    if (off + g_->delayOf(n) > c_->clockNs) return {};
+    if (off + g_->node(n).effectiveDelayNs() > c_->clockNs) return {};
   } else if (off > 0.0) {
     return {};  // multicycle ops start on step boundaries
   }
@@ -30,19 +30,19 @@ FrameCalculator::DepCheck FrameCalculator::depOk(const sched::Schedule& s,
 
 FrameCalculator::DepWindow FrameCalculator::depWindow(const sched::Schedule& s,
                                                       dfg::NodeId n) const {
-  const int cycles = g_->cyclesOf(n);
+  const int cycles = g_->node(n).cycles;
   DepWindow w;
   bool boundaryChainable = true;  // every pred ending at the boundary chains
   for (dfg::NodeId p : g_->opPreds(n)) {
     if (!s.isPlaced(p)) continue;
-    const int pEnd = s.stepOf(p) + g_->cyclesOf(p) - 1;
+    const int pEnd = s.stepOf(p) + g_->node(p).cycles - 1;
     if (pEnd > w.boundaryStep) {
       w.boundaryStep = pEnd;
       w.boundaryOff = 0.0;
       boundaryChainable = true;
     }
     if (pEnd == w.boundaryStep) {
-      if (g_->cyclesOf(p) > 1)
+      if (g_->node(p).cycles > 1)
         boundaryChainable = false;
       else
         w.boundaryOff = std::max(w.boundaryOff, chainOffsetOf(p));
@@ -51,7 +51,7 @@ FrameCalculator::DepWindow FrameCalculator::depWindow(const sched::Schedule& s,
   const bool chainable = c_->allowChaining && cycles == 1;
   // Above the boundary no pred constrains the start; only an op whose own
   // delay never fits the clock stays infeasible.
-  w.aboveOk = !chainable || g_->delayOf(n) <= c_->clockNs;
+  w.aboveOk = !chainable || g_->node(n).effectiveDelayNs() <= c_->clockNs;
   if (w.boundaryStep == 0) {
     // No placed predecessor: there is no boundary case, every step behaves
     // like the "above" zone.
@@ -59,7 +59,7 @@ FrameCalculator::DepWindow FrameCalculator::depWindow(const sched::Schedule& s,
     return w;
   }
   w.boundaryOk = c_->allowChaining && boundaryChainable && cycles == 1 &&
-                 w.boundaryOff + g_->delayOf(n) <= c_->clockNs;
+                 w.boundaryOff + g_->node(n).effectiveDelayNs() <= c_->clockNs;
   if (!w.boundaryOk) w.boundaryOff = 0.0;
   return w;
 }
@@ -68,8 +68,8 @@ void FrameCalculator::recordPlacement(const sched::Schedule& s, dfg::NodeId n,
                                       int step) {
   const DepCheck d = depOk(s, n, step);
   if (n >= chainOff_.size()) chainOff_.resize(g_->size(), 0.0);
-  if (c_->allowChaining && g_->cyclesOf(n) == 1)
-    chainOff_[n] = d.startOffsetNs + g_->delayOf(n);
+  if (c_->allowChaining && g_->node(n).cycles == 1)
+    chainOff_[n] = d.startOffsetNs + g_->node(n).effectiveDelayNs();
   else
     chainOff_[n] = 0.0;  // result lands on a step boundary
 }

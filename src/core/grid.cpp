@@ -31,7 +31,7 @@ std::vector<std::uint64_t> ColumnOccupancy::cellsFor(dfg::NodeId n, int col,
     // One initiation per (folded) step; later stages overlap freely.
     cells.push_back(key(col, fold(step)));
   } else {
-    const int cycles = g_->cyclesOf(n);
+    const int cycles = g_->node(n).cycles;
     cells.reserve(static_cast<std::size_t>(cycles));
     for (int s = step; s < step + cycles; ++s) cells.push_back(key(col, fold(s)));
   }
@@ -54,7 +54,7 @@ bool ColumnOccupancy::canPlace(dfg::NodeId n, int col, int step) const {
   if (plainCells(col)) {
     // No folding, no pipelining: the keys are distinct consecutive steps —
     // probe them directly without materializing a key list.
-    const int cycles = g_->cyclesOf(n);
+    const int cycles = g_->node(n).cycles;
     for (int s = step; s < step + cycles; ++s)
       if (!cellFree(key(col, s))) return false;
     return true;
@@ -63,7 +63,7 @@ bool ColumnOccupancy::canPlace(dfg::NodeId n, int col, int step) const {
     if (!cellFree(k)) return false;
   // A multicycle op folded tighter than its own duration would overlap its
   // next initiation (functional pipelining): reject when cycles > latency.
-  if (latency_ > 0 && !isPipelined(col) && g_->cyclesOf(n) > latency_)
+  if (latency_ > 0 && !isPipelined(col) && g_->node(n).cycles > latency_)
     return false;
   return true;
 }
@@ -121,7 +121,7 @@ void ColumnOccupancy::place(dfg::NodeId n, int col, int step) {
   assert(!isPlaced(n));
   for (std::uint64_t k : cellsFor(n, col, step)) cell_[k].push_back(n);
   if (plainCells(col) && g_->isUnconditional(n))
-    for (int s = step; s < step + g_->cyclesOf(n); ++s) setHard(col, s, true);
+    for (int s = step; s < step + g_->node(n).cycles; ++s) setHard(col, s, true);
   ensureNode(n);
   whereCol_[n] = col;
   whereStep_[n] = step;
@@ -141,7 +141,7 @@ void ColumnOccupancy::remove(dfg::NodeId n) {
   }
   if (plainCells(col) && g_->isUnconditional(n)) {
     // The step stays hard only while another unconditional op holds it.
-    for (int s = step; s < step + g_->cyclesOf(n); ++s) {
+    for (int s = step; s < step + g_->node(n).cycles; ++s) {
       const auto it = cell_.find(key(col, s));
       setHard(col, s,
               it != cell_.end() &&
@@ -188,11 +188,11 @@ Grid::Grid(const dfg::Dfg& g, const sched::Constraints& c) : g_(&g) {
 }
 
 bool Grid::canPlace(dfg::NodeId n, int col, int step) const {
-  return table(dfg::fuTypeOf(g_->kindOf(n))).canPlace(n, col, step);
+  return table(dfg::fuTypeOf(g_->node(n).kind)).canPlace(n, col, step);
 }
 
 void Grid::place(dfg::NodeId n, int col, int step) {
-  table(dfg::fuTypeOf(g_->kindOf(n))).place(n, col, step);
+  table(dfg::fuTypeOf(g_->node(n).kind)).place(n, col, step);
 }
 
 void Grid::clear() {

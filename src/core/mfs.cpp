@@ -81,17 +81,17 @@ std::optional<Unplaceable> unplaceableOp(const dfg::Dfg& g,
     return Unplaceable{id, "infeasible for any number of steps: " + why};
   };
   for (NodeId id : g.operations()) {
-    const FuType t = dfg::fuTypeOf(g.kindOf(id));
-    const int cycles = g.cyclesOf(id);
+    const FuType t = dfg::fuTypeOf(g.node(id).kind);
+    const int cycles = g.node(id).cycles;
     const char* name = g.node(id).name.c_str();
     const std::string type(dfg::fuTypeName(t));
     if (auto lim = c.fuLimit.find(t); lim != c.fuLimit.end() && lim->second <= 0)
       return refuse(id, util::format("'%s' needs %s units but fuLimit allows %d",
                                      name, type.c_str(), lim->second));
-    if (c.allowChaining && cycles == 1 && g.delayOf(id) > c.clockNs)
+    if (c.allowChaining && cycles == 1 && g.node(id).effectiveDelayNs() > c.clockNs)
       return refuse(id, util::format("single-cycle %s '%s' takes %g ns, longer "
                                      "than the %g ns clock (chaining on)",
-                                     type.c_str(), name, g.delayOf(id),
+                                     type.c_str(), name, g.node(id).effectiveDelayNs(),
                                      c.clockNs));
     if (c.latency > 0 && cycles > c.latency && !c.pipelinedFus.count(t))
       return refuse(id, util::format("'%s' takes %d cycles, more than the "
@@ -105,7 +105,7 @@ std::optional<Unplaceable> unplaceableOp(const dfg::Dfg& g,
 MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
   const trace::Span span("mfs");
   MfsResult res;
-  if (auto err = g.validate()) {
+  if (const auto& err = g.validate()) {
     res.error = "invalid DFG: " + *err;
     return res;
   }
@@ -121,9 +121,6 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     res.error = bad->reason;
     return res;
   }
-  // One graph snapshot per run, shared by every placement attempt — a fresh
-  // Schedule(g) per attempt deep-copied the whole graph on each restart.
-  const auto snap = std::make_shared<const dfg::Dfg>(g);
   const bool frontier =
       opt.frameMode == MoveFrameMode::Frontier ||
       (opt.frameMode == MoveFrameMode::Auto &&
@@ -192,7 +189,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     std::vector<NodeId> merged;
     merged.reserve(priority.size());
     for (NodeId id : opt.priorityHint) {
-      if (id >= g.size() || hinted[id] || !dfg::isSchedulable(g.kindOf(id)))
+      if (id >= g.size() || hinted[id] || !dfg::isSchedulable(g.node(id).kind))
         continue;
       hinted[id] = 1;
       merged.push_back(id);
@@ -217,7 +214,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       for (const auto& ts : types) columnBound = std::max(columnBound, ts.maxCols);
       const MfsLiapunov energy(opt.mode, columnBound, cs);
 
-      sched::Schedule s(snap);
+      sched::Schedule s(g);
       s.setNumSteps(cs);
       Grid grid(g, c);
       FrameCalculator fc(g, c, *tf);
@@ -226,7 +223,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       double v = 0.0;
       std::vector<double> worstOf(g.size(), 0.0);
       for (NodeId id : *order) {
-        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
+        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.node(id).kind));
         worstOf[id] = energy.worstValue(types[t].maxCols, cs);
         v += worstOf[id];
       }
@@ -234,7 +231,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
 
       bool restart = false;
       for (NodeId id : *order) {
-        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
+        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.node(id).kind));
         const auto& occ = grid.table(static_cast<FuType>(t));
         const int colHi = std::min(types[t].current, types[t].maxCols);
 

@@ -67,7 +67,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   const trace::Span span("mfsa");
   trace::bump(trace::Counter::MfsaRuns);
   MfsaResult res;
-  if (auto err = g.validate()) {
+  if (const auto& err = g.validate()) {
     res.error = "invalid DFG: " + *err;
     return res;
   }
@@ -112,9 +112,6 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       g, sched::priorityOrder(g, *tf, opt.priorityRule), &res.error);
   if (!order) return res;
 
-  // One graph snapshot shared by every restart's Schedule — deep-copying a
-  // large graph per local-rescheduling round dominated big runs.
-  const auto snap = std::make_shared<const dfg::Dfg>(g);
   // Frontier search is exact only where the per-(ALU, module) contribution
   // is non-decreasing in the step: f_MUX/f_ALU step-independent (mux
   // interconnect), f_TIME and f_REG non-decreasing (non-negative weights
@@ -157,7 +154,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   std::vector<int> maxUse(g.size(), 0);
 
   while (true) {  // local-rescheduling loop
-    sched::Schedule s(snap);
+    sched::Schedule s(g);
     s.setNumSteps(cs);
     ColumnOccupancy occ(g, c);
     FrameCalculator fc(g, c, *tf);
@@ -167,8 +164,8 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
     maxUse.assign(g.size(), 0);
     auto producerEnd = [&](NodeId sig) {
-      if (!dfg::isSchedulable(g.kindOf(sig))) return 0;  // inputs: before step 1
-      return s.isPlaced(sig) ? s.stepOf(sig) + g.cyclesOf(sig) - 1 : 0;
+      if (!dfg::isSchedulable(g.node(sig).kind)) return 0;  // inputs: before step 1
+      return s.isPlaced(sig) ? s.stepOf(sig) + g.node(sig).cycles - 1 : 0;
     };
     // Per-input (producerEnd, latest-use) pairs for the operation under
     // consideration, computed once before the candidate loops; neither value
@@ -280,11 +277,6 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
             const auto d = alloc::appendDelta(g, owner->arrangement, id);
             fMux = lib.muxCost(static_cast<int>(d.left)) +
                    lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
-          } else if (!opt.incrementalMux) {
-            std::vector<NodeId> after = owner->ops;
-            after.push_back(id);
-            fMux = alloc::muxCostOf(lib, alloc::arrangeInputs(g, after)) -
-                   owner->muxCost;
           } else {
             const auto d =
                 alloc::arrangeInputsDelta(g, owner->arrangement, owner->ops, id);

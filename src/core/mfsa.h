@@ -57,13 +57,6 @@ struct MfsaOptions {
   /// otherwise silently falls back to Exhaustive.
   MoveFrameMode frameMode = MoveFrameMode::Auto;
 
-  /// Evaluate each candidate's f_MUX with the incremental
-  /// alloc::arrangeInputsDelta against the ALU's cached arrangement
-  /// instead of re-running the full two-pass
-  /// arrangement per candidate. The delta is exact, so results are
-  /// identical either way; the switch exists for differential testing.
-  bool incrementalMux = true;
-
   bool traceLiapunov = true;
 };
 

@@ -1,4 +1,4 @@
-// Fluent construction API for DFGs.
+// Fluent construction API for DFGs — the only way to make or edit one.
 //
 //   Builder b("diffeq");
 //   auto x  = b.input("x");
@@ -6,10 +6,16 @@
 //   auto t1 = b.mul(x, dx, "t1");
 //   b.output(t1, "xo");
 //   Dfg g = std::move(b).build();   // validates; throws on malformed graphs
+//
+// To edit a graph, start a Builder from it (same node ids), change nodes with
+// the set* calls or append new ones, and build again; the source graph is
+// left untouched.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "dfg/dfg.h"
 
@@ -23,20 +29,26 @@ class DfgError : public std::runtime_error {
 
 class Builder {
  public:
-  explicit Builder(std::string name) : g_(std::move(name)) {}
+  explicit Builder(std::string name);
+
+  /// Start from every node (same ids), output and the name of `g`.
+  explicit Builder(const Dfg& g);
 
   /// `width` declares the signal's bit width (0 = unspecified; the dataflow
   /// analyses then assume the machine word width).
   NodeId input(std::string name, int width = 0);
   NodeId constant(long value, std::string name);
 
-  /// Pin the declared bit width of an already-created node.
-  void setWidth(NodeId id, int width);
-
   /// Generic operation node. `cycles`/`delayNs` override the defaults; the
-  /// current branch scope (see pushBranch) is recorded on the node.
+  /// current branch scope (see pushBranch) is recorded on the node. Input
+  /// ids are checked at build time, so buildLenient keeps dangling or
+  /// forward references as given.
   NodeId op(OpKind kind, std::vector<NodeId> inputs, std::string name,
             int cycles = 1, double delayNs = -1.0);
+
+  /// Append a node with every attribute of `like` (a node of any graph)
+  /// except its name and inputs, which are `name` and `inputs`.
+  NodeId copy(const Node& like, std::string name, std::vector<NodeId> inputs);
 
   // Arity-2 conveniences.
   NodeId add(NodeId a, NodeId b, std::string name) { return op(OpKind::Add, {a, b}, std::move(name)); }
@@ -54,7 +66,9 @@ class Builder {
   NodeId inc(NodeId a, std::string name) { return op(OpKind::Inc, {a}, std::move(name)); }
   NodeId bnot(NodeId a, std::string name) { return op(OpKind::Not, {a}, std::move(name)); }
 
-  void output(NodeId id, std::string externalName) { g_.markOutput(id, std::move(externalName)); }
+  void output(NodeId id, std::string externalName) {
+    c_.outputs.emplace_back(id, std::move(externalName));
+  }
 
   /// Enter / leave a conditional arm. Nodes created inside carry the nested
   /// branch path, e.g. pushBranch("c1","t") ... popBranch(). Ops in sibling
@@ -62,11 +76,30 @@ class Builder {
   void pushBranch(const std::string& condId, const std::string& armId);
   void popBranch();
 
-  /// Validate and hand out the graph. The builder is consumed.
+  // Edits of the graph name and of already-created nodes. Nothing is checked
+  // until build time, so malformed values reach buildLenient's graph as set.
+  void setName(std::string name) { c_.name = std::move(name); }
+  void setCycles(NodeId id, int cycles) { c_.cycles[id] = cycles; }
+  void setDelayNs(NodeId id, double delayNs) { c_.delayNs[id] = delayNs; }
+  void setBranchPath(NodeId id, const std::string& path) { c_.scope[id] = intern(path); }
+  void setWidth(NodeId id, int width) { c_.width[id] = width; }
+
+  /// Validate and hand out the graph; throws DfgError on a malformed one.
+  /// The builder is consumed.
   Dfg build() &&;
 
+  /// Hand out the graph even when it is malformed (cyclic, dangling inputs,
+  /// bad attributes); its validate() reports the problem. For lenient
+  /// parsing and for the lint rules' fixtures. The builder is consumed.
+  Dfg buildLenient() &&;
+
  private:
-  Dfg g_;
+  NodeId append(OpKind kind, std::string name, int cycles, double delayNs,
+                std::uint32_t scope, long constValue, int width);
+  std::uint32_t intern(const std::string& path);
+
+  Dfg::Columns c_;
+  std::unordered_map<std::string, std::uint32_t> scopeIds_;
   std::string branchScope_;  // current path, "" at top level
 };
 

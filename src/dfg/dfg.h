@@ -7,28 +7,31 @@
 // operations), an optional combinational delay override (chaining) and a
 // branch path encoding conditional nesting (mutual exclusion).
 //
-// Storage is arena-backed structure-of-arrays: node attributes live in
-// parallel flat arrays and all adjacency (successors, schedulable
-// predecessors/successors) is CSR — one offset array plus one flat edge
-// array each — so the scheduler and dataflow inner loops walk contiguous
-// memory and the accessors return non-allocating spans. The derived arrays
-// are built by freeze(): Builder::build() and dfg::parse() freeze before
-// handing the graph out, and any mutation (addNode, mutableNode) marks the
-// graph unfrozen again. Adjacency accessors on an unfrozen graph throw —
-// there is deliberately no lazy rebuild, because a hidden mutable cache
-// under a const API is a data race the moment two threads share a cold
-// graph (explore::parallelFor did exactly that).
+// A built Dfg is immutable and stores everything once: each node attribute
+// lives in one id-indexed array, inputs and all derived adjacency
+// (successors, schedulable predecessors/successors) are CSR — one offset
+// array plus one flat edge array each — a node's branch path is an interned
+// scope id, and the name index keys string_views into the one names array.
+// The scheduler and dataflow inner loops walk contiguous memory and the
+// accessors return non-allocating spans or views. All of it sits behind one
+// shared pointer to const, so copying a Dfg costs O(1) and copies may be
+// read from any number of threads.
+//
+// dfg::Builder is the only way to make or edit a graph (dfg::parse uses it
+// too). It lays out every derived index and computes the validate() verdict
+// in one id-order sweep when it builds the graph.
 //
 // CSR invariant: node ids are topological (validate() rejects any input id
-// >= the node's own id), so edge arrays are acyclic by construction and a
-// single id-order sweep builds every derived index.
+// >= the node's own id), so edge arrays are acyclic by construction.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,181 +42,182 @@ namespace mframe::dfg {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 
-/// One DFG node. Plain data; invariants are maintained by Dfg/Builder.
+/// Read-only view of one DFG node, built on demand by Dfg::node and
+/// Dfg::nodes. Its fields alias the graph's arrays: a view stays valid while
+/// the graph, or any copy of it, is alive.
 struct Node {
-  NodeId id = kNoNode;
-  OpKind kind = OpKind::Input;
-  std::string name;             ///< name of the produced signal (unique)
-  std::vector<NodeId> inputs;   ///< data predecessors, in operand order
+  NodeId id;
+  OpKind kind;
+  const std::string& name;         ///< name of the produced signal (unique)
+  std::span<const NodeId> inputs;  ///< data predecessors, in operand order
 
-  int cycles = 1;               ///< execution time in control steps (>= 1)
-  double delayNs = -1.0;        ///< combinational delay; < 0 => defaultDelayNs(kind)
+  int cycles;                      ///< execution time in control steps (>= 1)
+  double delayNs;                  ///< combinational delay; < 0 => defaultDelayNs(kind)
 
   /// Conditional-nesting path, e.g. "" (unconditional), "c1.t", "c1.e.c2.t".
   /// Elements alternate conditional-id and arm-id separated by '.'; two nodes
   /// are mutually exclusive iff their paths first differ at an arm element
   /// under the same conditional (see Dfg::mutuallyExclusive).
-  std::string branchPath;
+  const std::string& branchPath;
 
-  long constValue = 0;          ///< literal value for Const nodes
+  long constValue;                 ///< literal value for Const nodes
 
   /// Declared bit width of the produced signal; 0 = unspecified (the
   /// machine word width applies). On Input nodes this bounds the value range
   /// the dataflow analyses assume; on operations it pins the result width.
-  int width = 0;
+  int width;
 
   double effectiveDelayNs() const {
     return delayNs >= 0 ? delayNs : defaultDelayNs(kind);
   }
 };
 
-/// Immutable-after-freeze DAG of operations. Use dfg::Builder to construct,
-/// or dfg::parse for the textual format — both freeze the graph before
-/// returning it. Code that mutates a graph directly (transforms, loop
-/// bookkeeping) must call freeze() again before using adjacency accessors.
+/// Immutable DAG of operations. Make one with dfg::Builder or dfg::parse.
 class Dfg {
+  struct Store;
+
  public:
-  Dfg() = default;
-  explicit Dfg(std::string name) : name_(std::move(name)) {}
+  /// The empty graph.
+  Dfg();
 
-  const std::string& name() const { return name_; }
-  void setName(std::string n) { name_ = std::move(n); }
+  const std::string& name() const { return s_->name; }
+  std::size_t size() const { return s_->kind.size(); }
 
-  /// Append a node; returns its id. The node's `inputs` must reference
-  /// existing nodes (enforced in validate()). Marks the graph unfrozen.
-  NodeId addNode(Node n);
+  Node node(NodeId id) const { return s_->node(id); }
 
-  std::size_t size() const { return nodes_.size(); }
-  const Node& node(NodeId id) const { return nodes_[id]; }
-  const std::vector<Node>& nodes() const { return nodes_; }
+  /// All nodes in id order, as views, for range-for.
+  class NodeRange {
+   public:
+    class iterator {
+     public:
+      iterator(const Store* s, NodeId id) : s_(s), id_(id) {}
+      Node operator*() const { return s_->node(id_); }
+      iterator& operator++() {
+        ++id_;
+        return *this;
+      }
+      bool operator==(const iterator& o) const { return id_ == o.id_; }
 
-  /// Mutable access to a node. Marks the graph unfrozen: the caller must
-  /// freeze() again before adjacency or index accessors are usable.
-  Node& mutableNode(NodeId id) {
-    frozen_ = false;
-    return nodes_[id];
+     private:
+      const Store* s_;
+      NodeId id_;
+    };
+    explicit NodeRange(const Store* s) : s_(s) {}
+    iterator begin() const { return {s_, 0}; }
+    iterator end() const { return {s_, static_cast<NodeId>(s_->kind.size())}; }
+
+   private:
+    const Store* s_;
+  };
+  NodeRange nodes() const { return NodeRange(s_.get()); }
+
+  /// Primary outputs: (node, external name), in declaration order.
+  const std::vector<std::pair<NodeId, std::string>>& outputs() const {
+    return s_->outputs;
   }
 
-  /// Mark `id` as a primary output under the given external name.
-  void markOutput(NodeId id, std::string externalName);
-  const std::vector<std::pair<NodeId, std::string>>& outputs() const { return outputs_; }
-
-  /// Build every derived index (CSR adjacency, SoA attribute mirrors, name
-  /// table, interned branch scopes) in one id-order sweep. Idempotent on an
-  /// already-frozen graph. O(nodes + edges).
-  void freeze();
-  bool frozen() const { return frozen_; }
-
-  /// Data predecessors of `id` (its inputs). Convenience accessor; total.
-  const std::vector<NodeId>& preds(NodeId id) const { return nodes_[id].inputs; }
-
   /// Data successors of `id` (consumers of its signal), in consumer id
-  /// order, duplicate edges preserved. Frozen graphs only.
+  /// order, duplicate edges preserved.
   std::span<const NodeId> succs(NodeId id) const {
-    if (!frozen_) throwUnfrozen("succs");
-    return {succEdges_.data() + succOff_[id], succOff_[id + 1] - succOff_[id]};
+    return s_->succ.row(id);
   }
 
   /// Schedulable (operation) predecessors/successors only — Input/Const
   /// nodes filtered out. These define the precedence constraints the
-  /// schedulers enforce. Non-allocating views; frozen graphs only.
+  /// schedulers enforce. Non-allocating views.
   std::span<const NodeId> opPreds(NodeId id) const {
-    if (!frozen_) throwUnfrozen("opPreds");
-    return {predEdges_.data() + predOff_[id], predOff_[id + 1] - predOff_[id]};
+    return s_->opPred.row(id);
   }
   std::span<const NodeId> opSuccs(NodeId id) const {
-    if (!frozen_) throwUnfrozen("opSuccs");
-    return {opSuccEdges_.data() + opSuccOff_[id],
-            opSuccOff_[id + 1] - opSuccOff_[id]};
+    return s_->opSucc.row(id);
   }
 
-  /// Ids of all schedulable nodes, in insertion order. Frozen graphs only.
-  std::span<const NodeId> operations() const {
-    if (!frozen_) throwUnfrozen("operations");
-    return operations_;
-  }
+  /// Ids of all schedulable nodes, in insertion order.
+  std::span<const NodeId> operations() const { return s_->operations; }
 
-  /// Count of schedulable nodes of the given FU type. Frozen graphs only.
+  /// Count of schedulable nodes of the given FU type.
   std::size_t countOfType(FuType t) const {
-    if (!frozen_) throwUnfrozen("countOfType");
-    return typeCount_[static_cast<std::size_t>(t)];
+    return s_->typeCount[static_cast<std::size_t>(t)];
   }
-
-  /// SoA attribute mirrors for the hot loops: one cache line of ints beats
-  /// striding through 100+-byte Node records. Frozen graphs only.
-  OpKind kindOf(NodeId id) const { return kind_[id]; }
-  int cyclesOf(NodeId id) const { return cycles_[id]; }
-  int widthOf(NodeId id) const { return width_[id]; }
-  /// Resolved combinational delay (delayNs or the kind default).
-  double delayOf(NodeId id) const { return delay_[id]; }
 
   /// A topological order over all nodes (inputs first). Empty optional if
-  /// the graph has a cycle. Total: works on frozen and unfrozen graphs
-  /// (validate() relies on it before the first freeze).
+  /// the graph has a cycle (only a Builder::buildLenient graph can).
   std::optional<std::vector<NodeId>> topoOrder() const;
 
   /// True if a and b can never execute in the same run: their branch paths
   /// diverge into different arms of the same conditional (Section 5.1).
-  /// Total; frozen graphs compare interned component ids (no splitting).
+  /// Compares interned component ids (no string splitting).
   bool mutuallyExclusive(NodeId a, NodeId b) const;
 
   /// True if `id` has an empty branch path: it runs in every execution, so
-  /// it is mutually exclusive with no node. Total; frozen graphs read the
-  /// interned scope (an empty path has no components).
-  bool isUnconditional(NodeId id) const {
-    if (!frozen_) return nodes_[id].branchPath.empty();
-    return scopeOff_[scope_[id] + 1] == scopeOff_[scope_[id]];
-  }
+  /// it is mutually exclusive with no node.
+  bool isUnconditional(NodeId id) const { return s_->scope[id] == 0; }
 
-  /// Find a node by signal name; kNoNode if absent. Total; frozen graphs
-  /// answer from a hash table, unfrozen graphs scan.
+  /// Find a node by signal name; kNoNode if absent. Among duplicate names
+  /// (a buildLenient graph) the oldest node wins.
   NodeId findByName(std::string_view name) const;
 
-  /// Full structural validation: ids consistent, names unique, input refs in
-  /// range and acyclic, arities match kinds, cycles >= 1. Returns an error
-  /// description, or std::nullopt when the graph is well-formed. Total.
-  std::optional<std::string> validate() const;
+  /// Structural validation verdict, computed once when the graph was built:
+  /// names unique and non-empty, input refs in range and older than their
+  /// reader (so the graph is acyclic), arities match kinds, cycles >= 1,
+  /// branch paths well formed, output ids in range. An error description,
+  /// or std::nullopt when the graph is well-formed.
+  const std::optional<std::string>& validate() const { return s_->error; }
 
  private:
-  [[noreturn]] static void throwUnfrozen(const char* accessor);
+  friend class Builder;
 
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
+  /// One CSR adjacency: row(id) spans edges[off[id], off[id + 1]).
+  struct Csr {
+    std::vector<std::uint32_t> off{0};
+    std::vector<NodeId> edges;
+    std::span<const NodeId> row(NodeId id) const {
+      return {edges.data() + off[id], off[id + 1] - off[id]};
+    }
+    /// Lay out `rows` rows; row r holds the ids edgesOf(r, push) pushes.
+    template <typename EdgesOf>
+    void fill(std::size_t rows, EdgesOf edgesOf);
+  };
+
+  /// The attributes a Builder writes, one id-indexed array each.
+  struct Columns {
+    std::string name;
+    std::vector<OpKind> kind;
+    std::vector<std::string> names;
+    Csr inputs;
+    std::vector<int> cycles;
+    std::vector<double> delayNs;
+    std::vector<std::uint32_t> scope;      ///< index into scopePaths
+    std::vector<std::string> scopePaths;   ///< unique branch paths; [0] = ""
+    std::vector<long> constValue;
+    std::vector<int> width;
+    std::vector<std::pair<NodeId, std::string>> outputs;
+  };
+
+  /// Columns plus every derived index, laid out once by the constructor.
+  struct Store : Columns {
+    explicit Store(Columns c);
+    Store(const Store&) = delete;  // nameIndex points into this object
+
+    Csr succ, opPred, opSucc;
+    std::vector<NodeId> operations;
+    std::size_t typeCount[kNumFuTypes] = {};
+    /// Branch scopes split into interned component ids: scopeComp.row(s)
+    /// lists scope s's components; the empty path has none.
+    Csr scopeComp;
+    std::unordered_map<std::string_view, NodeId> nameIndex;
+    std::optional<std::string> error;
+
+    Node node(NodeId id) const {
+      return {id, kind[id], names[id], inputs.row(id), cycles[id], delayNs[id],
+              scopePaths[scope[id]], constValue[id], width[id]};
     }
   };
 
-  std::string name_;
-  std::vector<Node> nodes_;
-  std::vector<std::pair<NodeId, std::string>> outputs_;
+  /// Publish a built store; counts one dfg.freezes (and its CSR edges).
+  explicit Dfg(std::shared_ptr<const Store> s);
 
-  bool frozen_ = false;
-
-  // CSR adjacency (offsets are size()+1; edge arrays are flat).
-  std::vector<std::uint32_t> succOff_;
-  std::vector<NodeId> succEdges_;
-  std::vector<std::uint32_t> predOff_;     // schedulable preds
-  std::vector<NodeId> predEdges_;
-  std::vector<std::uint32_t> opSuccOff_;   // schedulable succs
-  std::vector<NodeId> opSuccEdges_;
-
-  // SoA attribute mirrors.
-  std::vector<OpKind> kind_;
-  std::vector<int> cycles_;
-  std::vector<int> width_;
-  std::vector<double> delay_;              // effectiveDelayNs, resolved
-
-  std::vector<NodeId> operations_;
-  std::size_t typeCount_[kNumFuTypes] = {};
-
-  // Branch scopes, interned: scope_[id] indexes scopeOff_/scopeComp_, a CSR
-  // of per-path component ids; equal paths share one scope id.
-  std::vector<std::uint32_t> scope_;
-  std::vector<std::uint32_t> scopeOff_;
-  std::vector<std::uint32_t> scopeComp_;
-
-  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> nameIndex_;
+  std::shared_ptr<const Store> s_;
 };
 
 /// Two branch paths are mutually exclusive iff they first differ at an arm

@@ -23,7 +23,7 @@ namespace {
 /// leave the attribute at its default — silently coercing them to 0 used to
 /// mask real diagnostics downstream (a typo'd delay= hid TIM001).
 Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
-  Dfg g;
+  Builder b("");
   std::unordered_map<std::string, NodeId> byName;
   std::istringstream in{std::string(text)};
   std::string rawLine;
@@ -40,10 +40,7 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
     auto it = byName.find(name);
     if (it != byName.end()) return it->second;
     problem(lineNo, std::string("unknown ") + what + " '" + name + "'", true);
-    Node placeholder;
-    placeholder.kind = OpKind::Input;
-    placeholder.name = name;
-    const NodeId id = g.addNode(std::move(placeholder));
+    const NodeId id = b.input(name);
     byName[name] = id;
     return id;
   };
@@ -57,23 +54,23 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
 
     // A width= value must be a non-negative integer; anything else is a
     // parse problem (lenient mode leaves the width unset).
-    auto parseWidth = [&](Node& n, const std::string& val) {
+    auto parseWidth = [&](int& width, const std::string& val) {
       const long w = util::parseLong(val);
       if (w < 0) {
         problem(lineNo, "bad width value '" + val + "'");
         return;
       }
-      n.width = static_cast<int>(w);
+      width = static_cast<int>(w);
     };
     // Optional trailing width= attribute shared by input/const statements.
-    auto leafWidth = [&](Node& n, std::size_t from) -> bool {
+    auto leafWidth = [&](int& width, std::size_t from) -> bool {
       for (std::size_t a = from; a < tok.size(); ++a) {
         const auto eq = tok[a].find('=');
         if (eq == std::string::npos || tok[a].substr(0, eq) != "width") {
           problem(lineNo, "unknown attribute '" + tok[a] + "'");
           return false;
         }
-        parseWidth(n, tok[a].substr(eq + 1));
+        parseWidth(width, tok[a].substr(eq + 1));
       }
       return true;
     };
@@ -83,30 +80,29 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
         problem(lineNo, "expected: dfg <name>");
         continue;
       }
-      g.setName(tok[1]);
+      b.setName(tok[1]);
       sawHeader = true;
     } else if (tok[0] == "input") {
       if (tok.size() < 2) {
         problem(lineNo, "expected: input <signal> [width=N]");
         continue;
       }
-      Node n;
-      n.kind = OpKind::Input;
-      n.name = tok[1];
-      if (!leafWidth(n, 2)) continue;
-      byName[tok[1]] = g.addNode(std::move(n));
+      int width = 0;
+      if (!leafWidth(width, 2)) continue;
+      byName[tok[1]] = b.input(tok[1], width);
     } else if (tok[0] == "const") {
       if (tok.size() < 3) {
         problem(lineNo, "expected: const <value> <signal> [width=N]");
         continue;
       }
-      Node n;
-      n.kind = OpKind::Const;
-      if (!util::parseSignedLong(tok[1], n.constValue))
+      long value = 0;
+      if (!util::parseSignedLong(tok[1], value))
         problem(lineNo, "bad const value '" + tok[1] + "'");
-      n.name = tok[2];
-      if (!leafWidth(n, 3)) continue;
-      byName[tok[2]] = g.addNode(std::move(n));
+      int width = 0;
+      if (!leafWidth(width, 3)) continue;
+      const NodeId id = b.constant(value, tok[2]);
+      b.setWidth(id, width);
+      byName[tok[2]] = id;
     } else if (tok[0] == "op") {
       if (tok.size() < 4) {
         problem(lineNo, "expected: op <kind> <signal> <in...> [attrs]");
@@ -117,12 +113,14 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
         problem(lineNo, "unknown op kind '" + tok[1] + "'");
         continue;
       }
-      Node n;
-      n.kind = kind;
-      n.name = tok[2];
+      std::vector<NodeId> inputs;
+      int cycles = 1;
+      double delayNs = -1.0;
+      std::string branch;
+      int width = 0;
       std::size_t i = 3;
       for (; i < tok.size() && tok[i].find('=') == std::string::npos; ++i)
-        n.inputs.push_back(resolve(tok[i], "input signal"));
+        inputs.push_back(resolve(tok[i], "input signal"));
       bool badAttrs = false;
       for (; i < tok.size(); ++i) {
         const auto eq = tok[i].find('=');
@@ -142,7 +140,7 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
             // Well-formed but out of range (cycles=0): strict rejects,
             // lenient stores it for the lint rule to flag.
             if (c < 1 && !issues) fail(lineNo, "bad cycles value '" + val + "'");
-            n.cycles = static_cast<int>(c);
+            cycles = static_cast<int>(c);
           }
         } else if (key == "delay") {
           // A malformed delay must not silently become 0.0: a zeroed
@@ -152,11 +150,11 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
           if (!util::parseDouble(val, delay) || delay < 0.0)
             problem(lineNo, "bad delay value '" + val + "'");
           else
-            n.delayNs = delay;
+            delayNs = delay;
         } else if (key == "branch") {
-          n.branchPath = val;
+          branch = val;
         } else if (key == "width") {
-          parseWidth(n, val);
+          parseWidth(width, val);
         } else {
           problem(lineNo, "unknown attribute '" + key + "'");
           badAttrs = true;
@@ -164,8 +162,10 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
         }
       }
       if (badAttrs) continue;
-      const std::string name = n.name;  // addNode consumes n
-      byName[name] = g.addNode(std::move(n));
+      const NodeId id = b.op(kind, std::move(inputs), tok[2], cycles, delayNs);
+      b.setBranchPath(id, branch);
+      b.setWidth(id, width);
+      byName[tok[2]] = id;
     } else if (tok[0] == "output") {
       if (tok.size() != 3) {
         problem(lineNo, "expected: output <external-name> <signal>");
@@ -176,7 +176,7 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
         problem(lineNo, "unknown signal '" + tok[2] + "'", true);
         continue;
       }
-      g.markOutput(it->second, tok[1]);
+      b.output(it->second, tok[1]);
     } else {
       problem(lineNo, "unknown statement '" + tok[0] + "'");
     }
@@ -185,10 +185,7 @@ Dfg parseImpl(std::string_view text, std::vector<ParseIssue>* issues) {
     if (!issues) throw DfgError("dfg parse error: missing 'dfg <name>' header");
     issues->push_back({0, "missing 'dfg <name>' header", false});
   }
-  if (!issues)
-    if (auto err = g.validate()) throw DfgError(g.name() + ": " + *err);
-  g.freeze();
-  return g;
+  return issues ? std::move(b).buildLenient() : std::move(b).build();
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ std::string commonBranchPrefix(const std::string& a, const std::string& b) {
 }
 
 bool sameOperands(const Node& a, const Node& b) {
-  if (a.inputs == b.inputs) return true;
+  if (std::ranges::equal(a.inputs, b.inputs)) return true;
   if (isCommutative(a.kind) && a.inputs.size() == 2 &&
       a.inputs[0] == b.inputs[1] && a.inputs[1] == b.inputs[0])
     return true;
@@ -38,30 +38,28 @@ bool sameOperands(const Node& a, const Node& b) {
 /// references through the mapping.
 Dfg rebuildMerged(const Dfg& g, const std::map<NodeId, NodeId>& replaceBy,
                   const std::map<NodeId, std::string>& newBranch) {
-  Dfg out(g.name());
+  Builder out(g.name());
   std::vector<NodeId> newId(g.size(), kNoNode);
   for (const Node& n : g.nodes()) {
     if (replaceBy.count(n.id)) continue;  // dropped duplicate
-    Node copy = n;
-    copy.inputs.clear();
+    std::vector<NodeId> inputs;
     for (NodeId in : n.inputs) {
       NodeId target = in;
       auto it = replaceBy.find(target);
       if (it != replaceBy.end()) target = it->second;
-      copy.inputs.push_back(newId[target]);
+      inputs.push_back(newId[target]);
     }
+    newId[n.id] = out.copy(n, n.name, std::move(inputs));
     auto bp = newBranch.find(n.id);
-    if (bp != newBranch.end()) copy.branchPath = bp->second;
-    newId[n.id] = out.addNode(std::move(copy));
+    if (bp != newBranch.end()) out.setBranchPath(newId[n.id], bp->second);
   }
   for (const auto& [id, ext] : g.outputs()) {
     NodeId target = id;
     auto it = replaceBy.find(target);
     if (it != replaceBy.end()) target = it->second;
-    out.markOutput(newId[target], ext);
+    out.output(newId[target], ext);
   }
-  out.freeze();
-  return out;
+  return std::move(out).build();
 }
 
 }  // namespace
@@ -96,58 +94,41 @@ std::size_t mergeSharedBranchOps(Dfg& g) {
 }
 
 Dfg foldLoopNest(const LoopNest& nest, const BodyScheduler& sched) {
-  Dfg body = nest.body;
+  if (nest.children.empty()) return nest.body;
+  const Dfg& body = nest.body;
+  Builder folded(body);
 
   // Innermost first: fold every child, then record its achieved step count
   // on the matching LoopSuper node of this body.
   for (const LoopNest& child : nest.children) {
-    const Dfg folded = foldLoopNest(child, sched);
-    const int steps = sched(folded, child.localTimeConstraint);
+    const Dfg inner = foldLoopNest(child, sched);
+    const int steps = sched(inner, child.localTimeConstraint);
     if (steps < 1 || steps > child.localTimeConstraint)
       throw std::runtime_error(util::format(
           "loop '%s': scheduler returned %d steps for constraint %d",
-          folded.name().c_str(), steps, child.localTimeConstraint));
-    const NodeId super = body.findByName(folded.name());
+          inner.name().c_str(), steps, child.localTimeConstraint));
+    const NodeId super = body.findByName(inner.name());
     if (super == kNoNode)
       throw std::runtime_error("loop body '" + body.name() +
-                               "' has no LoopSuper node named '" + folded.name() + "'");
+                               "' has no LoopSuper node named '" + inner.name() + "'");
     if (body.node(super).kind != OpKind::LoopSuper)
-      throw std::runtime_error("node '" + folded.name() + "' is not a LoopSuper node");
-    body.mutableNode(super).cycles = steps;
+      throw std::runtime_error("node '" + inner.name() + "' is not a LoopSuper node");
+    folded.setCycles(super, steps);
   }
-  body.freeze();
-  return body;
+  return std::move(folded).build();
 }
 
 NodeId addLoopBookkeeping(Dfg& body, const std::string& counterSignal,
                           long bound) {
+  Builder b(body);
   NodeId counter = body.findByName(counterSignal);
-  if (counter == kNoNode) {
-    Node in;
-    in.kind = OpKind::Input;
-    in.name = counterSignal;
-    counter = body.addNode(std::move(in));
-  }
-  Node boundNode;
-  boundNode.kind = OpKind::Const;
-  boundNode.constValue = bound;
-  boundNode.name = counterSignal + "_bound";
-  const NodeId boundId = body.addNode(std::move(boundNode));
-
-  Node incNode;
-  incNode.kind = OpKind::Inc;
-  incNode.name = counterSignal + "_next";
-  incNode.inputs = {counter};
-  const NodeId incId = body.addNode(std::move(incNode));
-
-  Node cmp;
-  cmp.kind = OpKind::Lt;
-  cmp.name = counterSignal + "_continue";
-  cmp.inputs = {incId, boundId};
-  const NodeId cmpId = body.addNode(std::move(cmp));
-  body.markOutput(cmpId, counterSignal + "_continue");
-  body.markOutput(incId, counterSignal + "_next");
-  body.freeze();
+  if (counter == kNoNode) counter = b.input(counterSignal);
+  const NodeId boundId = b.constant(bound, counterSignal + "_bound");
+  const NodeId incId = b.inc(counter, counterSignal + "_next");
+  const NodeId cmpId = b.lt(incId, boundId, counterSignal + "_continue");
+  b.output(cmpId, counterSignal + "_continue");
+  b.output(incId, counterSignal + "_next");
+  body = std::move(b).build();
   return cmpId;
 }
 
@@ -180,7 +161,7 @@ ConeCut extractCone(const Dfg& g, const std::vector<NodeId>& seeds, int hops) {
   }
 
   ConeCut cut;
-  cut.cone.setName(g.name() + ".cone");
+  Builder cone(g.name() + ".cone");
   std::map<NodeId, NodeId> toCone;  // full id -> cone id, incl. copied leaves
   std::vector<char> isFrontier(g.size(), 0);
 
@@ -191,20 +172,17 @@ ConeCut extractCone(const Dfg& g, const std::vector<NodeId>& seeds, int hops) {
     auto it = toCone.find(full);
     if (it != toCone.end()) return it->second;
     const Node& src = g.node(full);
-    Node copy;
-    copy.name = src.name;
-    copy.width = src.width;
-    if (isSchedulable(src.kind)) {
-      copy.kind = OpKind::Input;
-      if (!isFrontier[full]) {
+    NodeId cid;
+    if (src.kind == OpKind::Const) {
+      cid = cone.constant(src.constValue, src.name);
+      cone.setWidth(cid, src.width);
+    } else {
+      cid = cone.input(src.name, src.width);
+      if (isSchedulable(src.kind) && !isFrontier[full]) {
         isFrontier[full] = 1;
         cut.frontier.push_back(full);
       }
-    } else {
-      copy.kind = src.kind;
-      copy.constValue = src.constValue;
     }
-    const NodeId cid = cut.cone.addNode(std::move(copy));
     toCone.emplace(full, cid);
     cut.coneToFull.resize(cid + 1, kNoNode);
     cut.coneToFull[cid] = full;
@@ -216,15 +194,12 @@ ConeCut extractCone(const Dfg& g, const std::vector<NodeId>& seeds, int hops) {
   for (NodeId id = 0; id < g.size(); ++id) {
     const Node& n = g.node(id);
     if (dist[id] == -1 || !isSchedulable(n.kind)) continue;
-    Node copy = n;
-    copy.id = kNoNode;
-    copy.inputs.clear();
+    std::vector<NodeId> inputs;
     for (NodeId in : n.inputs) {
-      const Node& p = g.node(in);
-      const bool member = dist[in] != -1 && isSchedulable(p.kind);
-      copy.inputs.push_back(member ? toCone.at(in) : pin(in));
+      const bool member = dist[in] != -1 && isSchedulable(g.node(in).kind);
+      inputs.push_back(member ? toCone.at(in) : pin(in));
     }
-    const NodeId cid = cut.cone.addNode(std::move(copy));
+    const NodeId cid = cone.copy(n, n.name, std::move(inputs));
     toCone.emplace(id, cid);
     cut.toCone.emplace(id, cid);
     cut.coneToFull.resize(cid + 1, kNoNode);
@@ -242,9 +217,9 @@ ConeCut extractCone(const Dfg& g, const std::vector<NodeId>& seeds, int hops) {
           dist[s] != -1 && isSchedulable(g.node(s).kind);
       if (!memberReader) isOut = true;
     }
-    if (isOut) cut.cone.markOutput(cid, g.node(full).name);
+    if (isOut) cone.output(cid, g.node(full).name);
   }
-  cut.cone.freeze();
+  cut.cone = std::move(cone).build();
   return cut;
 }
 

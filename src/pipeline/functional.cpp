@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "dfg/builder.h"
 #include "util/strings.h"
 
 namespace mframe::pipeline {
@@ -11,51 +12,42 @@ int partitionBoundary(int cs, int latency) {
 }
 
 dfg::Dfg buildTwoInstanceDfg(const dfg::Dfg& g, int latency) {
-  dfg::Dfg out(g.name() + "_double");
+  dfg::Builder out(g.name() + "_double");
   std::vector<dfg::NodeId> map1(g.size()), map2(g.size());
+  auto remap = [](const dfg::Node& n, const std::vector<dfg::NodeId>& map) {
+    std::vector<dfg::NodeId> inputs;
+    for (dfg::NodeId in : n.inputs) inputs.push_back(map[in]);
+    return inputs;
+  };
 
   // Instance 1: a verbatim copy.
-  for (const dfg::Node& n : g.nodes()) {
-    dfg::Node c = n;
-    c.name = n.name + "_i1";
-    c.inputs.clear();
-    for (dfg::NodeId in : n.inputs) c.inputs.push_back(map1[in]);
-    map1[n.id] = out.addNode(std::move(c));
-  }
+  for (const dfg::Node& n : g.nodes())
+    map1[n.id] = out.copy(n, n.name + "_i1", remap(n, map1));
   // Delay chain: L-1 unit-cycle pseudo-operations; together with the gate
   // op each instance-2 input becomes, instance 2's ASAP profile lands
   // exactly L steps after instance 1's.
-  dfg::NodeId delayTail = dfg::kNoNode;
-  for (int i = 0; i + 1 < latency; ++i) {
-    dfg::Node d;
-    d.kind = dfg::OpKind::LoopSuper;
-    d.name = util::format("delay_%d", i + 1);
-    d.cycles = 1;
-    if (delayTail != dfg::kNoNode) d.inputs.push_back(delayTail);
-    delayTail = out.addNode(std::move(d));
-  }
+  std::vector<dfg::NodeId> delayTail;
+  for (int i = 0; i + 1 < latency; ++i)
+    delayTail = {out.op(dfg::OpKind::LoopSuper, delayTail,
+                        util::format("delay_%d", i + 1))};
   // Instance 2: inputs gated behind the delay chain.
   for (const dfg::Node& n : g.nodes()) {
-    dfg::Node c = n;
-    c.name = n.name + "_i2";
-    c.inputs.clear();
+    const std::string name = n.name + "_i2";
     if (n.kind == dfg::OpKind::Input && latency > 0) {
       // Model "arrives L steps later" by turning the input into a unit
       // pseudo-op (the gate) fed by the delay chain.
-      c.kind = dfg::OpKind::LoopSuper;
-      c.cycles = 1;
-      if (delayTail != dfg::kNoNode) c.inputs.push_back(delayTail);
+      map2[n.id] = out.op(dfg::OpKind::LoopSuper, delayTail, name, 1, n.delayNs);
+      out.setBranchPath(map2[n.id], n.branchPath);
+      out.setWidth(map2[n.id], n.width);
     } else {
-      for (dfg::NodeId in : n.inputs) c.inputs.push_back(map2[in]);
+      map2[n.id] = out.copy(n, name, remap(n, map2));
     }
-    map2[n.id] = out.addNode(std::move(c));
   }
   for (const auto& [id, ext] : g.outputs()) {
-    out.markOutput(map1[id], ext + "_i1");
-    out.markOutput(map2[id], ext + "_i2");
+    out.output(map1[id], ext + "_i1");
+    out.output(map2[id], ext + "_i2");
   }
-  out.freeze();
-  return out;
+  return std::move(out).build();
 }
 
 PartitionPipelineResult pipelineByPartition(const dfg::Dfg& g, int timeSteps,

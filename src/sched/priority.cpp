@@ -12,7 +12,7 @@ namespace {
 int predReadyStep(const dfg::Dfg& g, const TimeFrames& tf, dfg::NodeId id) {
   int ready = 0;
   for (dfg::NodeId p : g.opPreds(id))
-    ready = std::max(ready, tf.asap(p) + g.cyclesOf(p) - 1);
+    ready = std::max(ready, tf.asap(p) + g.node(p).cycles - 1);
   return ready;
 }
 
@@ -31,8 +31,8 @@ std::vector<dfg::NodeId> priorityOrder(const dfg::Dfg& g, const TimeFrames& tf,
 
     const int ma = tf.mobility(a);
     const int mb = tf.mobility(b);
-    const int ca = g.cyclesOf(a);
-    const int cb = g.cyclesOf(b);
+    const int ca = g.node(a).cycles;
+    const int cb = g.node(b).cycles;
     if (ma != mb) {
       // Section 5.3: for two multicycle operations whose mobility gap is
       // smaller than their duration, reverse the mobility rule.

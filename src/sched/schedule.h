@@ -53,24 +53,17 @@ struct Placement {
 /// A (partial or complete) schedule: the placement of every operation on the
 /// grid, plus the achieved number of control steps.
 ///
-/// The schedule co-owns a snapshot of the graph it was built against, so a
-/// result object stays valid after the caller's DFG goes out of scope (e.g.
-/// `runMfs(makeGraph(), opts)`).
+/// The schedule holds a copy of the graph it was built against (an O(1)
+/// copy sharing the graph's storage), so a result object stays valid after
+/// the caller's DFG goes out of scope (e.g. `runMfs(makeGraph(), opts)`). A
+/// default Schedule has no graph at all.
 class Schedule {
  public:
   Schedule() = default;
   explicit Schedule(const dfg::Dfg& g)
-      : graph_(std::make_shared<dfg::Dfg>(g)),
+      : graph_(std::make_shared<const dfg::Dfg>(g)),
         place_(g.size()),
         placed_(g.size(), false) {}
-
-  /// Share an existing snapshot instead of deep-copying the graph. The
-  /// schedulers take one snapshot per run and hand it to every restart —
-  /// copying a 100k-node graph hundreds of times dominated large runs.
-  explicit Schedule(std::shared_ptr<const dfg::Dfg> g)
-      : graph_(std::move(g)),
-        place_(graph_->size()),
-        placed_(graph_->size(), false) {}
 
   const dfg::Dfg& graph() const { return *graph_; }
   std::shared_ptr<const dfg::Dfg> sharedGraph() const { return graph_; }

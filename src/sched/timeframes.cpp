@@ -36,11 +36,11 @@ std::vector<AsapEntry> asapCore(const dfg::Dfg& g,
                                 const PredsOf& predsOf, const Constraints& c) {
   std::vector<AsapEntry> entry(g.size());
   for (dfg::NodeId id : order) {
-    const int cycles = g.cyclesOf(id);
+    const int cycles = g.node(id).cycles;
     Avail ready{1, 0.0};
     for (dfg::NodeId p : predsOf(id)) ready = std::max(ready, entry[p].avail);
 
-    const double delay = g.delayOf(id);
+    const double delay = g.node(id).effectiveDelayNs();
     AsapEntry e;
     const bool chainable = c.allowChaining && cycles == 1 && delay <= c.clockNs;
     if (chainable && ready.offsetNs + delay <= c.clockNs) {
@@ -96,14 +96,14 @@ std::optional<TimeFrames> computeTimeFrames(const dfg::Dfg& g,
   }
   std::vector<dfg::NodeId> fwd;
   for (dfg::NodeId id : *maybeOrder)
-    if (dfg::isSchedulable(g.kindOf(id))) fwd.push_back(id);
+    if (dfg::isSchedulable(g.node(id).kind)) fwd.push_back(id);
 
   const auto asap = asapCore(
       g, fwd, [&](dfg::NodeId id) { return g.opPreds(id); }, c);
 
   int critical = 1;
   for (dfg::NodeId id : fwd)
-    critical = std::max(critical, asap[id].start + g.cyclesOf(id) - 1);
+    critical = std::max(critical, asap[id].start + g.node(id).cycles - 1);
   tf.criticalSteps_ = critical;
 
   const int cs = c.timeSteps > 0 ? c.timeSteps : critical;
@@ -124,7 +124,7 @@ std::optional<TimeFrames> computeTimeFrames(const dfg::Dfg& g,
   for (dfg::NodeId id : fwd) {
     const dfg::Node& n = g.node(id);
     tf.frames_[id].asap = asap[id].start;
-    tf.frames_[id].alap = cs - rasap[id].start - g.cyclesOf(id) + 2;
+    tf.frames_[id].alap = cs - rasap[id].start - g.node(id).cycles + 2;
     if (tf.frames_[id].alap < tf.frames_[id].asap) {
       // The ALAP mirror disagrees with ASAP — a chaining-asymmetric packing
       // would make every downstream mobility negative. No such input is
@@ -144,8 +144,8 @@ std::optional<TimeFrames> computeTimeFrames(const dfg::Dfg& g,
     std::vector<std::vector<int>> perStep(dfg::kNumFuTypes,
                                           std::vector<int>(cs + 2, 0));
     for (dfg::NodeId id : fwd) {
-      const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
-      for (int s = startOf(id); s < startOf(id) + g.cyclesOf(id) && s <= cs; ++s)
+      const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.node(id).kind));
+      for (int s = startOf(id); s < startOf(id) + g.node(id).cycles && s <= cs; ++s)
         ++perStep[t][s];
     }
     for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t)

@@ -63,8 +63,8 @@ enum class Counter : int {
   RangeWidenings,         ///< loop-head interval widenings applied
   RangeAsserts,           ///< .bind range assertions checked
   RangeFindings,          ///< WID diagnostics emitted
-  DfgFreezes,             ///< Dfg::freeze index builds
-  DfgCsrEdges,            ///< CSR edges laid out across all freezes
+  DfgFreezes,             ///< graphs built (Builder::build/buildLenient)
+  DfgCsrEdges,            ///< CSR edges laid out across all built graphs
   MfsStepSweeps,          ///< MFS step counts (cs values) tried
   TimeframesBuilds,       ///< computeTimeFrames calls
   OccupancyProbes,        ///< canPlace calls made by ColumnOccupancy::firstFit

@@ -25,6 +25,13 @@ inline dfg::Dfg smallDiamond() {
   return std::move(b).build();
 }
 
+/// `g` under another graph name.
+inline dfg::Dfg renamed(const dfg::Dfg& g, std::string name) {
+  dfg::Builder b(g);
+  b.setName(std::move(name));
+  return std::move(b).build();
+}
+
 /// A pure chain of n additions (critical path n).
 inline dfg::Dfg addChain(int n) {
   dfg::Builder b("chain" + std::to_string(n));

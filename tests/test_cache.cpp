@@ -13,6 +13,7 @@
 #include "cache/store.h"
 #include "celllib/ncr_like.h"
 #include "explore/explore.h"
+#include "dfg/builder.h"
 #include "dfg/parser.h"
 #include "sched/schedule_io.h"
 #include "sched/verify.h"
@@ -101,9 +102,9 @@ TEST(CacheFingerprint, ContentChangesTheDigest) {
   const dfg::Dfg b = dfg::parse(kDesignEdited);
   EXPECT_NE(fingerprintDfg(a), fingerprintDfg(b));
 
-  dfg::Dfg c = dfg::parse(kDesign);
-  c.mutableNode(c.findByName("t1")).cycles = 2;
-  c.freeze();
+  dfg::Builder edit(a);
+  edit.setCycles(a.findByName("t1"), 2);
+  const dfg::Dfg c = std::move(edit).build();
   EXPECT_NE(fingerprintDfg(a), fingerprintDfg(c));
 }
 

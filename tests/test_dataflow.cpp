@@ -64,18 +64,10 @@ TEST(DataflowEngine, ForwardFixpointOnDagIsOneSweep) {
 TEST(DataflowEngine, WideningTerminatesOnCyclicGraphs) {
   // Hand-build a dependence cycle (validate() would reject it; the engine
   // must still terminate): inc0 -> inc1 -> inc0.
-  dfg::Dfg g("loopy");
-  dfg::Node a;
-  a.kind = dfg::OpKind::Inc;
-  a.name = "inc0";
-  const auto ia = g.addNode(a);
-  dfg::Node b;
-  b.kind = dfg::OpKind::Inc;
-  b.name = "inc1";
-  b.inputs = {ia};
-  const auto ib = g.addNode(b);
-  g.mutableNode(ia).inputs = {ib};
-  g.freeze();
+  dfg::Builder build("loopy");
+  const auto ia = build.op(dfg::OpKind::Inc, {1}, "inc0");
+  const auto ib = build.inc(ia, "inc1");
+  const dfg::Dfg g = std::move(build).buildLenient();
 
   int visits = 0;
   const auto ranges = analyzeRanges(g, 16, &visits);

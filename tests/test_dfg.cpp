@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "dfg/builder.h"
+#include "dfg/parser.h"
 #include "helpers.h"
 
 namespace mframe::dfg {
@@ -14,9 +15,9 @@ TEST(Dfg, PredsAndSuccsAreConsistent) {
   const Dfg g = test::smallDiamond();
   const NodeId y = g.findByName("y");
   ASSERT_NE(y, kNoNode);
-  EXPECT_EQ(g.preds(y).size(), 2u);
+  EXPECT_EQ(g.node(y).inputs.size(), 2u);
   EXPECT_EQ(g.succs(y).size(), 1u);  // f consumes y
-  for (NodeId p : g.preds(y)) {
+  for (NodeId p : g.node(y).inputs) {
     const auto& ss = g.succs(p);
     EXPECT_NE(std::find(ss.begin(), ss.end(), y), ss.end());
   }
@@ -25,8 +26,8 @@ TEST(Dfg, PredsAndSuccsAreConsistent) {
 TEST(Dfg, OpPredsFilterInputs) {
   const Dfg g = test::smallDiamond();
   const NodeId s = g.findByName("s");
-  EXPECT_EQ(g.preds(s).size(), 2u);     // two Input nodes
-  EXPECT_TRUE(g.opPreds(s).empty());    // no *operation* predecessors
+  EXPECT_EQ(g.node(s).inputs.size(), 2u);  // two Input nodes
+  EXPECT_TRUE(g.opPreds(s).empty());       // no *operation* predecessors
   const NodeId y = g.findByName("y");
   EXPECT_EQ(g.opPreds(y).size(), 2u);
 }
@@ -60,76 +61,86 @@ TEST(Dfg, ValidateAcceptsWellFormed) {
 }
 
 TEST(Dfg, ValidateRejectsDuplicateNames) {
-  Dfg g("bad");
-  Node a;
-  a.kind = OpKind::Input;
-  a.name = "x";
-  g.addNode(a);
-  Node b;
-  b.kind = OpKind::Input;
-  b.name = "x";
-  g.addNode(b);
+  Builder b("bad");
+  b.input("x");
+  b.input("x");
+  const Dfg g = std::move(b).buildLenient();
   ASSERT_TRUE(g.validate().has_value());
   EXPECT_NE(g.validate()->find("duplicate"), std::string::npos);
 }
 
 TEST(Dfg, ValidateRejectsWrongArity) {
-  Dfg g("bad");
-  Node x;
-  x.kind = OpKind::Input;
-  x.name = "x";
-  const NodeId xi = g.addNode(x);
-  Node n;
-  n.kind = OpKind::Add;
-  n.name = "a";
-  n.inputs = {xi};  // Add needs 2
-  g.addNode(n);
+  Builder b("bad");
+  const NodeId xi = b.input("x");
+  b.op(OpKind::Add, {xi}, "a");  // Add needs 2
+  const Dfg g = std::move(b).buildLenient();
   ASSERT_TRUE(g.validate().has_value());
   EXPECT_NE(g.validate()->find("expects 2 inputs"), std::string::npos);
 }
 
 TEST(Dfg, ValidateRejectsForwardReferences) {
-  Dfg g("bad");
-  Node n;
-  n.kind = OpKind::Not;
-  n.name = "n";
-  n.inputs = {1};  // references a node added later
-  g.addNode(n);
-  Node x;
-  x.kind = OpKind::Input;
-  x.name = "x";
-  g.addNode(x);
-  EXPECT_TRUE(g.validate().has_value());
+  Builder b("bad");
+  b.op(OpKind::Not, {1}, "n");  // references a node added later
+  b.input("x");
+  EXPECT_TRUE(std::move(b).buildLenient().validate().has_value());
 }
 
 TEST(Dfg, ValidateRejectsNonPositiveCycles) {
-  Dfg g("bad");
-  Node x;
-  x.kind = OpKind::Input;
-  x.name = "x";
-  const NodeId xi = g.addNode(x);
-  Node n;
-  n.kind = OpKind::Not;
-  n.name = "n";
-  n.inputs = {xi};
-  n.cycles = 0;
-  g.addNode(n);
-  EXPECT_TRUE(g.validate().has_value());
+  Builder b("bad");
+  const NodeId xi = b.input("x");
+  b.op(OpKind::Not, {xi}, "n", /*cycles=*/0);
+  EXPECT_TRUE(std::move(b).buildLenient().validate().has_value());
 }
 
 TEST(Dfg, ValidateRejectsMalformedBranchPath) {
-  Dfg g("bad");
-  Node x;
-  x.kind = OpKind::Input;
-  x.name = "x";
-  const NodeId xi = g.addNode(x);
-  Node n;
-  n.kind = OpKind::Not;
-  n.name = "n";
-  n.inputs = {xi};
-  n.branchPath = "c1";  // odd component count
-  g.addNode(n);
-  EXPECT_TRUE(g.validate().has_value());
+  Builder b("bad");
+  const NodeId xi = b.input("x");
+  b.setBranchPath(b.op(OpKind::Not, {xi}, "n"), "c1");  // odd component count
+  EXPECT_TRUE(std::move(b).buildLenient().validate().has_value());
+}
+
+TEST(Dfg, BuildThrowsOnMalformedGraph) {
+  Builder b("bad");
+  b.input("x");
+  b.input("x");
+  EXPECT_THROW(std::move(b).build(), DfgError);
+}
+
+TEST(Dfg, BuilderEditLeavesSourceGraphUntouched) {
+  const Dfg g = test::smallDiamond();
+  const std::string before = serialize(g);
+  const NodeId y = g.findByName("y");
+
+  Builder b(g);
+  b.setName("edited");
+  b.setCycles(y, 3);
+  b.setDelayNs(y, 7.5);
+  b.setWidth(y, 12);
+  b.setBranchPath(y, "c1.t");
+  const NodeId extra = b.inc(y, "yinc");
+  b.output(extra, "yinc");
+  const Dfg h = std::move(b).build();
+
+  // The edit sees every change, at the source's node ids.
+  ASSERT_EQ(h.size(), g.size() + 1);
+  EXPECT_EQ(h.name(), "edited");
+  EXPECT_EQ(h.node(y).cycles, 3);
+  EXPECT_EQ(h.node(y).delayNs, 7.5);
+  EXPECT_EQ(h.node(y).width, 12);
+  EXPECT_EQ(h.node(y).branchPath, "c1.t");
+  EXPECT_FALSE(h.isUnconditional(y));
+  EXPECT_EQ(h.findByName("yinc"), extra);
+  EXPECT_EQ(h.succs(y).back(), extra);
+  EXPECT_EQ(h.outputs().size(), g.outputs().size() + 1);
+
+  // The source is exactly as it was.
+  EXPECT_EQ(serialize(g), before);
+  EXPECT_EQ(g.name(), "diamond");
+  EXPECT_EQ(g.node(y).cycles, 1);
+  EXPECT_TRUE(g.isUnconditional(y));
+  EXPECT_EQ(g.findByName("yinc"), kNoNode);
+  EXPECT_EQ(g.succs(y).size(), 1u);
+  EXPECT_EQ(g.operations().size(), 4u);
 }
 
 TEST(Dfg, FindByName) {

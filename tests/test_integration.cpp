@@ -84,29 +84,16 @@ TEST(Integration, ConditionalLoopChainingCombined) {
   EXPECT_EQ(dfg::mergeSharedBranchOps(body), 1u);
 
   dfg::LoopNest inner;
-  inner.body = body;
-  inner.body.setName("loop1");
+  inner.body = test::renamed(body, "loop1");
   inner.localTimeConstraint = 4;
 
   dfg::LoopNest top;
   {
-    dfg::Dfg g("top");
-    dfg::Node in;
-    in.kind = dfg::OpKind::Input;
-    in.name = "seed";
-    const auto seed = g.addNode(in);
-    dfg::Node sp;
-    sp.kind = dfg::OpKind::LoopSuper;
-    sp.name = "loop1";
-    sp.inputs = {seed};
-    const auto spId = g.addNode(sp);
-    dfg::Node post;
-    post.kind = dfg::OpKind::Inc;
-    post.name = "final";
-    post.inputs = {spId};
-    const auto p = g.addNode(post);
-    g.markOutput(p, "final");
-    top.body = std::move(g);
+    dfg::Builder g("top");
+    const auto seed = g.input("seed");
+    const auto spId = g.op(dfg::OpKind::LoopSuper, {seed}, "loop1");
+    g.output(g.inc(spId, "final"), "final");
+    top.body = std::move(g).build();
   }
   top.localTimeConstraint = 6;
   top.children.push_back(std::move(inner));

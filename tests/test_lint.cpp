@@ -29,6 +29,31 @@ bool fires(const LintReport& r, std::string_view rule) {
   return !r.byRule(rule).empty();
 }
 
+/// smallDiamond with `edit` applied through a Builder started from it (the
+/// graph is passed along for name lookups), built leniently so a malformed
+/// result still reaches the rules.
+template <typename Edit>
+dfg::Dfg diamondWith(Edit edit) {
+  const dfg::Dfg g = test::smallDiamond();
+  dfg::Builder b(g);
+  edit(b, g);
+  return std::move(b).buildLenient();
+}
+
+// Edits several tests share. addCycle appends p and q reading each other,
+// p -> q -> p; p's read of q is also a forward reference.
+void addCycle(dfg::Builder& b, const dfg::Dfg& d) {
+  const auto p = static_cast<dfg::NodeId>(d.size());
+  b.op(dfg::OpKind::Add, {p + 1, d.findByName("a")}, "p");
+  b.op(dfg::OpKind::Add, {p, d.findByName("a")}, "q");
+}
+void zeroCyclesOnY(dfg::Builder& b, const dfg::Dfg& d) {
+  b.setCycles(d.findByName("y"), 0);
+}
+void addSecondS(dfg::Builder& b, const dfg::Dfg& d) {
+  b.add(d.findByName("c"), d.findByName("d"), "s");
+}
+
 sched::Schedule validDiamond(const dfg::Dfg& g) {
   sched::Schedule s(g);
   s.setNumSteps(3);
@@ -144,23 +169,23 @@ TEST(LintRtl, CleanSynthesisIsSilentForEveryRtlRule) {
 // ---------------------------------------------------------------------------
 
 TEST(LintDfg, DanglingInputFires) {  // DFG001
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).inputs.push_back(99);
+  const dfg::Dfg g = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    b.op(dfg::OpKind::Mul, {d.findByName("s"), 99}, "z");
+  });
   const LintReport r = lintDfg(g);
   ASSERT_TRUE(fires(r, kDfgDanglingInput));
-  EXPECT_EQ(r.byRule(kDfgDanglingInput).front().loc.node, "y");
+  EXPECT_EQ(r.byRule(kDfgDanglingInput).front().loc.node, "z");
 }
 
 TEST(LintDfg, ArityMismatchFires) {  // DFG002
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).inputs.pop_back();
+  const dfg::Dfg g = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    b.op(dfg::OpKind::Mul, {d.findByName("s")}, "z");
+  });
   EXPECT_TRUE(fires(lintDfg(g), kDfgArityMismatch));
 }
 
 TEST(LintDfg, CycleFiresWithOffendingPath) {  // DFG003
-  dfg::Dfg g = test::smallDiamond();
-  // s feeds y; rewire s to read y back: s -> y -> s.
-  g.mutableNode(g.findByName("s")).inputs[0] = g.findByName("y");
+  const dfg::Dfg g = diamondWith(addCycle);
   const LintReport r = lintDfg(g);
   const auto cyc = r.byRule(kDfgCycle);
   ASSERT_EQ(cyc.size(), 1u);
@@ -169,9 +194,7 @@ TEST(LintDfg, CycleFiresWithOffendingPath) {  // DFG003
 }
 
 TEST(LintDfg, ForwardReferenceFires) {  // DFG010
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("s")).inputs[0] = g.findByName("y");
-  EXPECT_TRUE(fires(lintDfg(g), kDfgForwardRef));
+  EXPECT_TRUE(fires(lintDfg(diamondWith(addCycle)), kDfgForwardRef));
 }
 
 TEST(LintDfg, UnreachableOpFires) {  // DFG004
@@ -195,31 +218,30 @@ TEST(LintDfg, NoOutputsAtAllIsDesignLevel) {  // DFG004 (design)
 }
 
 TEST(LintDfg, BadCyclesFires) {  // DFG005
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).cycles = 0;
-  EXPECT_TRUE(fires(lintDfg(g), kDfgBadCycles));
+  EXPECT_TRUE(fires(lintDfg(diamondWith(zeroCyclesOnY)), kDfgBadCycles));
 }
 
 TEST(LintDfg, BadDelayOverrideFires) {  // DFG006
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).delayNs = 0.0;  // "free" chaining
+  const dfg::Dfg g = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    b.setDelayNs(d.findByName("y"), 0.0);  // "free" chaining
+  });
   EXPECT_TRUE(fires(lintDfg(g), kDfgBadDelayOverride));
 
-  dfg::Dfg h = test::smallDiamond();
-  h.mutableNode(h.findByName("a")).delayNs = 5.0;  // delay on an Input node
+  const dfg::Dfg h = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    b.setDelayNs(d.findByName("a"), 5.0);  // delay on an Input node
+  });
   EXPECT_TRUE(fires(lintDfg(h), kDfgBadDelayOverride));
 }
 
 TEST(LintDfg, BadBranchPathFires) {  // DFG007
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).branchPath = "c1";  // odd component count
+  const dfg::Dfg g = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    b.setBranchPath(d.findByName("y"), "c1");  // odd component count
+  });
   EXPECT_TRUE(fires(lintDfg(g), kDfgBadBranchPath));
 }
 
 TEST(LintDfg, DuplicateNameFires) {  // DFG008
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("t")).name = "s";
-  EXPECT_TRUE(fires(lintDfg(g), kDfgDuplicateName));
+  EXPECT_TRUE(fires(lintDfg(diamondWith(addSecondS)), kDfgDuplicateName));
 }
 
 TEST(LintDfg, DeadLeafFires) {  // DFG009
@@ -233,22 +255,20 @@ TEST(LintDfg, DeadLeafFires) {  // DFG009
 }
 
 TEST(LintDfg, BadOutputRefFires) {  // DFG011
-  dfg::Dfg g = test::smallDiamond();
-  g.markOutput(999, "bogus");
+  const dfg::Dfg g = diamondWith(
+      [](dfg::Builder& b, const dfg::Dfg&) { b.output(999, "bogus"); });
   EXPECT_TRUE(fires(lintDfg(g), kDfgBadOutputRef));
 }
 
 TEST(LintDfg, BadWidthFires) {  // DFG012
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).width = 65;
-  EXPECT_TRUE(fires(lintDfg(g), kDfgBadWidth));
-
-  dfg::Dfg h = test::smallDiamond();
-  h.mutableNode(h.findByName("a")).width = -3;
-  EXPECT_TRUE(fires(lintDfg(h), kDfgBadWidth));
-
-  dfg::Dfg ok = test::smallDiamond();
-  ok.mutableNode(ok.findByName("y")).width = 8;
+  const auto withWidth = [](const char* node, int width) {
+    return diamondWith([&](dfg::Builder& b, const dfg::Dfg& d) {
+      b.setWidth(d.findByName(node), width);
+    });
+  };
+  EXPECT_TRUE(fires(lintDfg(withWidth("y", 65)), kDfgBadWidth));
+  EXPECT_TRUE(fires(lintDfg(withWidth("a", -3)), kDfgBadWidth));
+  const dfg::Dfg ok = withWidth("y", 8);
   EXPECT_FALSE(fires(lintDfg(ok), kDfgBadWidth));
 }
 
@@ -264,9 +284,11 @@ TEST(LintDfg, ConstWidthOverflowFires) {  // DFG013
   EXPECT_NE(d.message.find("max 15"), std::string::npos) << d.toText();
 
   // A negative literal never fits (the value domain is unsigned).
-  dfg::Dfg neg = dfg::parse(
-      "dfg cneg\ninput a\nconst 0 k width=4\nop add t a k\noutput y t\n");
-  neg.mutableNode(neg.findByName("k")).constValue = -1;
+  dfg::Builder b("cneg");
+  const dfg::NodeId k = b.constant(-1, "k");
+  b.setWidth(k, 4);
+  b.output(b.add(b.input("a"), k, "t"), "y");
+  const dfg::Dfg neg = std::move(b).build();
   EXPECT_TRUE(fires(lintDfg(neg), kDfgConstWidthOverflow));
 
   // The boundary value 15 fits exactly; an unsized literal is never checked.
@@ -343,6 +365,32 @@ TEST(LintSchedule, PrecedenceViolationFires) {  // SCH004
   const Diagnostic d = r.byRule(kSchedPrecedence).front();
   EXPECT_EQ(d.loc.node, "y");
   EXPECT_FALSE(d.loc.detail.empty());  // names the offending producer
+}
+
+TEST(LintSchedule, CyclicGraphReportsOnePrecedenceDiagnostic) {  // SCH004
+  // x and y read each other (only a lenient build can make that), and both
+  // sit in step 1, violating precedence either way round. A cyclic graph has
+  // no topological order; the lint says so once instead of reading one.
+  dfg::Builder b("loop");
+  const dfg::NodeId a = b.input("a");
+  const dfg::NodeId x = b.op(dfg::OpKind::Add, {a, a + 2}, "x");
+  const dfg::NodeId y = b.op(dfg::OpKind::Add, {x, a}, "y");
+  b.output(y, "y");
+  const dfg::Dfg g = std::move(b).buildLenient();
+  ASSERT_FALSE(g.topoOrder().has_value());
+
+  sched::Schedule s(g);
+  s.setNumSteps(1);
+  s.place(x, 1, 1);
+  s.place(y, 1, 2);
+  sched::Constraints c;
+  c.timeSteps = 1;
+  const LintReport r = lintSchedule(s, c);
+  ASSERT_EQ(r.size(), 1u);
+  const Diagnostic d = r.byRule(kSchedPrecedence).front();
+  EXPECT_EQ(d.entity, EntityKind::Design);
+  EXPECT_NE(d.message.find("cycle"), std::string::npos);
+  EXPECT_EQ(sched::verifySchedule(s, c), r.messages());
 }
 
 TEST(LintSchedule, ChainOverflowFires) {  // SCH005
@@ -654,9 +702,10 @@ TEST(LintReportTest, CountsAndThresholds) {
 }
 
 TEST(LintReportTest, LegacyMessagesPreserveOrder) {
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).cycles = 0;
-  g.mutableNode(g.findByName("t")).name = "s";
+  const dfg::Dfg g = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    zeroCyclesOnY(b, d);
+    addSecondS(b, d);
+  });
   const LintReport r = lintDfg(g);
   const auto msgs = r.messages();
   ASSERT_EQ(msgs.size(), r.size());
@@ -681,10 +730,11 @@ TEST(LintReportTest, ToTextCarriesRuleAndLocation) {
 }
 
 TEST(LintJson, RoundTripPreservesEveryDiagnostic) {
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("s")).inputs[0] = g.findByName("y");  // cycle + fwd ref
-  g.mutableNode(g.findByName("f")).branchPath = "c1";
-  g.markOutput(999, "bogus");
+  const dfg::Dfg g = diamondWith([](dfg::Builder& b, const dfg::Dfg& d) {
+    addCycle(b, d);  // cycle + fwd ref
+    b.setBranchPath(d.findByName("f"), "c1");
+    b.output(999, "bogus");
+  });
   const LintReport r = lintDfg(g);
   ASSERT_GE(r.size(), 3u);
 
@@ -720,9 +770,7 @@ TEST(LintJson, MalformedInputIsRejected) {
 }
 
 TEST(LintJson, RenderedJsonCarriesCounts) {
-  dfg::Dfg g = test::smallDiamond();
-  g.mutableNode(g.findByName("y")).cycles = 0;
-  const LintReport r = lintDfg(g);
+  const LintReport r = lintDfg(diamondWith(zeroCyclesOnY));
   const std::string json = r.renderJson("diamond");
   EXPECT_NE(json.find("\"design\""), std::string::npos);
   EXPECT_NE(json.find("\"counts\""), std::string::npos);

@@ -169,11 +169,9 @@ TEST(Mfs, BalancedScheduleMatchesCeilBound) {
 }
 
 TEST(Mfs, InvalidGraphRejected) {
-  dfg::Dfg g("bad");
-  dfg::Node n;
-  n.kind = dfg::OpKind::Add;
-  n.name = "a";
-  g.addNode(n);  // missing inputs
+  dfg::Builder b("bad");
+  b.op(dfg::OpKind::Add, {}, "a");  // missing inputs
+  const dfg::Dfg g = std::move(b).buildLenient();
   MfsOptions o;
   o.constraints.timeSteps = 2;
   const auto r = runMfs(g, o);

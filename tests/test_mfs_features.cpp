@@ -136,29 +136,16 @@ TEST(MfsFeatures, FoldedLoopSchedulesAsOneMulticycleOp) {
   // Build an inner loop (3-add chain), fold it into an outer body, then
   // schedule the outer body with MFS as the BodyScheduler.
   dfg::LoopNest inner;
-  inner.body = test::addChain(3);
-  inner.body.setName("inner");
+  inner.body = test::renamed(test::addChain(3), "inner");
   inner.localTimeConstraint = 3;
 
   dfg::LoopNest outer;
   {
-    dfg::Dfg g("outerBody");
-    dfg::Node in;
-    in.kind = dfg::OpKind::Input;
-    in.name = "x";
-    const dfg::NodeId xi = g.addNode(in);
-    dfg::Node sp;
-    sp.kind = dfg::OpKind::LoopSuper;
-    sp.name = "inner";
-    sp.inputs = {xi};
-    const dfg::NodeId spId = g.addNode(sp);
-    dfg::Node post;
-    post.kind = dfg::OpKind::Not;
-    post.name = "post";
-    post.inputs = {spId};
-    g.addNode(post);
-    g.markOutput(2, "post");
-    outer.body = std::move(g);
+    dfg::Builder g("outerBody");
+    const dfg::NodeId xi = g.input("x");
+    const dfg::NodeId spId = g.op(dfg::OpKind::LoopSuper, {xi}, "inner");
+    g.output(g.bnot(spId, "post"), "post");
+    outer.body = std::move(g).build();
   }
   outer.localTimeConstraint = 5;
   outer.children.push_back(std::move(inner));

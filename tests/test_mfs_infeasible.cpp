@@ -52,7 +52,7 @@ struct TypeState {
 
 MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
   MfsResult res;
-  if (auto err = g.validate()) {
+  if (const auto& err = g.validate()) {
     res.error = "invalid DFG: " + *err;
     return res;
   }
@@ -62,7 +62,6 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     res.schedule = sched::Schedule(g);
     return res;
   }
-  const auto snap = std::make_shared<const dfg::Dfg>(g);
   const bool frontier =
       opt.frameMode == MoveFrameMode::Frontier ||
       (opt.frameMode == MoveFrameMode::Auto &&
@@ -126,7 +125,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       std::vector<NodeId> merged;
       for (NodeId id : opt.priorityHint) {
         if (id >= g.size() || hinted[id] ||
-            !dfg::isSchedulable(g.kindOf(id)))
+            !dfg::isSchedulable(g.node(id).kind))
           continue;
         hinted[id] = 1;
         merged.push_back(id);
@@ -144,7 +143,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       for (const auto& ts : types) columnBound = std::max(columnBound, ts.maxCols);
       const MfsLiapunov energy(opt.mode, columnBound, cs);
 
-      sched::Schedule s(snap);
+      sched::Schedule s(g);
       s.setNumSteps(cs);
       Grid grid(g, c);
       FrameCalculator fc(g, c, *tf);
@@ -153,7 +152,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       double v = 0.0;
       std::vector<double> worstOf(g.size(), 0.0);
       for (NodeId id : *order) {
-        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
+        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.node(id).kind));
         worstOf[id] = energy.worstValue(types[t].maxCols, cs);
         v += worstOf[id];
       }
@@ -161,7 +160,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
 
       bool restart = false;
       for (NodeId id : *order) {
-        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
+        const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.node(id).kind));
         const auto& occ = grid.table(static_cast<FuType>(t));
         const int colHi = std::min(types[t].current, types[t].maxCols);
 
@@ -476,7 +475,7 @@ TEST(MfsSweep, PaperSuiteMatchesThePerStepReference) {
         o.mode = MfsLiapunov::Mode::ResourceConstrained;
         o.frameMode = frame;
         for (NodeId id : bc.graph.operations())
-          o.constraints.fuLimit[dfg::fuTypeOf(bc.graph.kindOf(id))] = limit;
+          o.constraints.fuLimit[dfg::fuTypeOf(bc.graph.node(id).kind)] = limit;
         const auto sweeps = expectSameAsReference(
             bc.graph, o,
             util::format("%s limit %d frame %d", bc.id.c_str(), limit,
@@ -508,7 +507,7 @@ TEST(MfsSweep, RandomGraphsMatchThePerStepReference) {
     o.mode = MfsLiapunov::Mode::ResourceConstrained;
     o.constraints.allowChaining = ro.randomDelays;
     for (NodeId id : g.operations())
-      o.constraints.fuLimit[dfg::fuTypeOf(g.kindOf(id))] = limit;
+      o.constraints.fuLimit[dfg::fuTypeOf(g.node(id).kind)] = limit;
     o.frameMode = frame;
     if (seed % 5 == 0) {
       // The tune loop's criticality hint: reversed id order.

@@ -285,53 +285,6 @@ TEST(Mfsa, TieBreakPrefersReusingAnAluOverAllocatingFresh) {
   EXPECT_TRUE(mod.supports(dfg::FuType::Subtractor));
 }
 
-TEST(Mfsa, IncrementalMuxCachingIsExactAcrossTheSuite) {
-  // The memoized arrangeInputsDelta path must not change a single decision:
-  // run every benchmark design with and without it and require identical
-  // schedules, bindings and costs.
-  const celllib::CellLibrary lib = celllib::ncrLike();
-  struct Case {
-    std::string id;
-    dfg::Dfg g;
-    sched::Constraints constraints;
-  };
-  std::vector<Case> cases;
-  for (const auto& bc : workloads::paperSuite()) {
-    sched::Constraints c = bc.constraints;
-    c.timeSteps = bc.timeSweep.front();
-    cases.push_back({bc.id, bc.graph, c});
-  }
-  sched::Constraints cf;
-  cf.timeSteps = 8;
-  cases.push_back({"fdct", workloads::fdctLike(), cf});
-  sched::Constraints ci;
-  ci.timeSteps = 13;
-  cases.push_back({"iir", workloads::iirBiquads(), ci});
-
-  for (const auto& tc : cases) {
-    MfsaOptions o;
-    o.constraints = tc.constraints;
-    EXPECT_TRUE(o.incrementalMux);  // the default
-    const auto fast = runMfsa(tc.g, lib, o);
-    o.incrementalMux = false;
-    const auto slow = runMfsa(tc.g, lib, o);
-    ASSERT_EQ(fast.feasible, slow.feasible) << tc.id;
-    if (!fast.feasible) continue;
-    EXPECT_EQ(fast.cost.total, slow.cost.total) << tc.id;
-    EXPECT_EQ(fast.cost.muxArea, slow.cost.muxArea) << tc.id;
-    ASSERT_EQ(fast.datapath.alus.size(), slow.datapath.alus.size()) << tc.id;
-    for (std::size_t i = 0; i < fast.datapath.alus.size(); ++i) {
-      EXPECT_EQ(fast.datapath.alus[i].module, slow.datapath.alus[i].module)
-          << tc.id << " alu " << i;
-      EXPECT_EQ(fast.datapath.alus[i].ops, slow.datapath.alus[i].ops)
-          << tc.id << " alu " << i;
-    }
-    EXPECT_EQ(fast.datapath.schedule.toString(),
-              slow.datapath.schedule.toString())
-        << tc.id;
-  }
-}
-
 TEST(Mfsa, MutuallyExclusiveOpsShareAlu) {
   const auto r = run(test::branchy(), 2);
   ASSERT_TRUE(r.feasible) << r.error;

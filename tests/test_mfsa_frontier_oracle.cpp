@@ -98,7 +98,6 @@ Result runFrontierMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   const auto order =
       topoConsistentOrder(g, sched::priorityOrder(g, *tf, opt.priorityRule));
   if (!order) return res;
-  const auto snap = std::make_shared<const dfg::Dfg>(g);
 
   std::vector<int> maxCols(dfg::kNumFuTypes, 1);
   std::vector<int> current(dfg::kNumFuTypes, 1);
@@ -124,7 +123,7 @@ Result runFrontierMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   std::vector<int> maxUse(g.size(), 0);
 
   while (true) {
-    sched::Schedule s(snap);
+    sched::Schedule s(g);
     s.setNumSteps(cs);
     ColumnOccupancy occ(g, c);
     FrameCalculator fc(g, c, *tf);
@@ -133,8 +132,8 @@ Result runFrontierMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
     maxUse.assign(g.size(), 0);
     auto producerEnd = [&](NodeId sig) {
-      if (!dfg::isSchedulable(g.kindOf(sig))) return 0;
-      return s.isPlaced(sig) ? s.stepOf(sig) + g.cyclesOf(sig) - 1 : 0;
+      if (!dfg::isSchedulable(g.node(sig).kind)) return 0;
+      return s.isPlaced(sig) ? s.stepOf(sig) + g.node(sig).cycles - 1 : 0;
     };
     struct InputState {
       int pe = 0;

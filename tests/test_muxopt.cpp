@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "celllib/ncr_like.h"
+#include "core/mfsa.h"
 #include "dfg/builder.h"
+#include "workloads/benchmarks.h"
 
 namespace mframe::alloc {
 namespace {
@@ -231,6 +233,58 @@ TEST(MuxOpt, DeltaMatchesBatchOnSystematicOpMixes) {
       if (!d.rebuilt) EXPECT_EQ(d.swapped, full.swapped.at(next));
     }
   }
+}
+
+TEST(MuxOpt, DeltaMatchesBatchOnEveryMfsaAluPrefix) {
+  // MFSA prices every candidate with arrangeInputsDelta against the ALU's
+  // arrangement of the ops bound so far. On every prefix of every op list
+  // MFSA builds for the benchmark designs, and for every op of the design,
+  // the delta must give the port sizes of the from-scratch arrangement.
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  struct Case {
+    std::string id;
+    dfg::Dfg g;
+    sched::Constraints constraints;
+  };
+  std::vector<Case> cases;
+  for (const auto& bc : workloads::paperSuite()) {
+    sched::Constraints c = bc.constraints;
+    c.timeSteps = bc.timeSweep.front();
+    cases.push_back({bc.id, bc.graph, c});
+  }
+  sched::Constraints cf;
+  cf.timeSteps = 8;
+  cases.push_back({"fdct", workloads::fdctLike(), cf});
+  sched::Constraints ci;
+  ci.timeSteps = 13;
+  cases.push_back({"iir", workloads::iirBiquads(), ci});
+
+  std::size_t checked = 0;
+  for (const auto& tc : cases) {
+    core::MfsaOptions o;
+    o.constraints = tc.constraints;
+    const auto r = core::runMfsa(tc.g, lib, o);
+    ASSERT_TRUE(r.feasible) << tc.id << ": " << r.error;
+    for (const auto& alu : r.datapath.alus) {
+      std::vector<NodeId> prefix;
+      for (std::size_t len = 0; len <= alu.ops.size(); ++len) {
+        const MuxArrangement base = arrangeInputs(tc.g, prefix);
+        for (NodeId x : tc.g.operations()) {
+          const MuxDelta d = arrangeInputsDelta(tc.g, base, prefix, x);
+          std::vector<NodeId> extended = prefix;
+          extended.push_back(x);
+          const MuxArrangement full = arrangeInputs(tc.g, extended);
+          ASSERT_EQ(d.left, full.left.size())
+              << tc.id << " prefix " << len << " + " << tc.g.node(x).name;
+          ASSERT_EQ(d.right, full.right.size())
+              << tc.id << " prefix " << len << " + " << tc.g.node(x).name;
+          ++checked;
+        }
+        if (len < alu.ops.size()) prefix.push_back(alu.ops[len]);
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 }  // namespace

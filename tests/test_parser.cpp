@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dfg/builder.h"
 #include "helpers.h"
 
@@ -60,7 +62,7 @@ TEST(Parser, SerializeRoundTrips) {
   for (NodeId i = 0; i < g1.size(); ++i) {
     EXPECT_EQ(g2.node(i).kind, g1.node(i).kind);
     EXPECT_EQ(g2.node(i).name, g1.node(i).name);
-    EXPECT_EQ(g2.node(i).inputs, g1.node(i).inputs);
+    EXPECT_TRUE(std::ranges::equal(g2.node(i).inputs, g1.node(i).inputs));
   }
   EXPECT_EQ(g2.outputs().size(), g1.outputs().size());
 }

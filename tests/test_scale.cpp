@@ -1,9 +1,8 @@
 // Scale regression tests for the arena/CSR DFG core: deep chains and wide
 // fan-outs that used to crash or go quadratic, verifiers on one column, ALU
 // and register pair holding 10^5 ops, counter linearity in N (MFSA's
-// frontier occupancy probes included), job-count invariance, and the
-// cold-graph concurrency hammer that pins down the eager-freeze fix for the
-// old lazy successor cache.
+// frontier occupancy probes included), job-count invariance, the
+// cold-graph concurrency hammers, and copies sharing one graph's storage.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,7 +86,6 @@ TEST(Scale, DeepChainCoreAlgorithmsAreLinear) {
   const CounterScope counters;
   constexpr int kOps = 100000;
   const dfg::Dfg g = deepChain(kOps);
-  ASSERT_TRUE(g.frozen());
   ASSERT_EQ(g.size(), static_cast<std::size_t>(kOps) + 1);
 
   const auto topo = g.topoOrder();
@@ -333,8 +331,8 @@ TEST(Scale, MfsFrontierMatchesExhaustive) {
 // ---------------------------------------------------------------------------
 // Concurrency: 8 threads hammer the adjacency spans of a freshly built
 // (cold) shared graph. The old lazy succCache_/succValid_ made this a data
-// race on first access; eager freeze makes it read-only. Run under TSan in
-// CI (DfgConcurrency* is in the sanitizer filter).
+// race on first access; building every index up front makes it read-only.
+// Run under TSan in CI (DfgConcurrency* is in the sanitizer filter).
 
 TEST(DfgConcurrency, SuccsHammerEightThreadsColdGraph) {
   workloads::RandomDfgOptions opt;
@@ -367,6 +365,73 @@ TEST(DfgConcurrency, SuccsHammerEightThreadsColdGraph) {
   }
   EXPECT_GT(sums[0], 0u);
   EXPECT_EQ(agreed.load(), static_cast<std::uint64_t>(kThreads - 1));
+}
+
+// Copies of one graph made, dropped and read in 8 threads at once: each
+// thread copies the graph, drops its copies and reads through another, so
+// the shared store's reference count is contended throughout.
+
+TEST(DfgConcurrency, CopiesAcrossEightThreads) {
+  workloads::RandomDfgOptions opt;
+  opt.topology = workloads::DfgTopology::Lstm;
+  opt.numOps = 20000;
+  opt.layerWidth = 32;
+  opt.seed = 5;
+  const dfg::Dfg g = workloads::randomDfg(opt);
+
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> sums(kThreads, 0);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&g, &sums, t] {
+      std::uint64_t sum = 0;
+      for (int round = 0; round < 4; ++round) {
+        const dfg::Dfg mine = g;
+        std::vector<dfg::Dfg> copies(64, mine);
+        copies.clear();
+        for (const dfg::Node& n : mine.nodes()) {
+          sum += n.cycles + n.name.size() + n.branchPath.size();
+          for (NodeId in : n.inputs) sum += in;
+        }
+      }
+      sums[static_cast<std::size_t>(t)] = sum;
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_GT(sums[0], 0u);
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(sums[0], sums[static_cast<std::size_t>(t)]);
+}
+
+// ---------------------------------------------------------------------------
+// Copies share storage: a built graph is immutable, so copying one (for a
+// Schedule, a cache entry, a worker) copies one shared pointer and builds
+// nothing.
+
+TEST(DfgCore, CopyOfHundredThousandOpGraphSharesItsArrays) {
+  const CounterScope counters;
+  workloads::RandomDfgOptions opt;
+  opt.topology = workloads::DfgTopology::Conv;
+  opt.numOps = 100000;
+  opt.layerWidth = 64;
+  opt.seed = 42;
+  const dfg::Dfg g = workloads::randomDfg(opt);
+  ASSERT_GE(g.operations().size(), 100000u);
+
+  const std::uint64_t freezes = counter(trace::Counter::DfgFreezes);
+  const std::uint64_t edges = counter(trace::Counter::DfgCsrEdges);
+  const dfg::Dfg copy = g;  // NOLINT(performance-unnecessary-copy-initialization)
+  const sched::Schedule s(g);
+  EXPECT_EQ(counter(trace::Counter::DfgFreezes), freezes);
+  EXPECT_EQ(counter(trace::Counter::DfgCsrEdges), edges);
+
+  EXPECT_EQ(copy.operations().data(), g.operations().data());
+  EXPECT_EQ(s.graph().operations().data(), g.operations().data());
+  const NodeId last = static_cast<NodeId>(g.size() - 1);
+  EXPECT_EQ(&copy.node(last).name, &g.node(last).name);
+  EXPECT_EQ(copy.node(last).inputs.data(), g.node(last).inputs.data());
+  EXPECT_EQ(copy.succs(0).data(), g.succs(0).data());
 }
 
 }  // namespace

@@ -65,12 +65,9 @@ TEST(DfgEval, ConstantsRespected) {
 }
 
 TEST(DfgEval, LoopSuperRejected) {
-  dfg::Dfg g("loopy");
-  dfg::Node sp;
-  sp.kind = dfg::OpKind::LoopSuper;
-  sp.name = "l";
-  g.addNode(sp);
-  const auto r = evalDfg(g, {});
+  dfg::Builder b("loopy");
+  b.op(dfg::OpKind::LoopSuper, {}, "l");
+  const auto r = evalDfg(std::move(b).build(), {});
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("LoopSuper"), std::string::npos);
 }

@@ -119,28 +119,16 @@ TEST(LoopBookkeeping, ReusesExistingCounterSignal) {
 TEST(FoldLoopNest, InnermostFirstAndCyclesAssigned) {
   // Outer body has a LoopSuper placeholder named like the inner body.
   LoopNest inner;
-  inner.body = test::addChain(3);
-  inner.body.setName("inner");
+  inner.body = test::renamed(test::addChain(3), "inner");
   inner.localTimeConstraint = 3;
 
   LoopNest outer;
   {
-    Dfg g("outer");
-    Node in;
-    in.kind = OpKind::Input;
-    in.name = "x";
-    const NodeId xi = g.addNode(in);
-    Node sp;
-    sp.kind = OpKind::LoopSuper;
-    sp.name = "inner";
-    sp.inputs = {xi};
-    const NodeId spId = g.addNode(sp);
-    Node post;
-    post.kind = OpKind::Not;
-    post.name = "post";
-    post.inputs = {spId};
-    g.addNode(post);
-    outer.body = std::move(g);
+    Builder g("outer");
+    const NodeId xi = g.input("x");
+    const NodeId spId = g.op(OpKind::LoopSuper, {xi}, "inner");
+    g.bnot(spId, "post");
+    outer.body = std::move(g).build();
   }
   outer.localTimeConstraint = 6;
   outer.children.push_back(std::move(inner));
@@ -160,17 +148,13 @@ TEST(FoldLoopNest, InnermostFirstAndCyclesAssigned) {
 
 TEST(FoldLoopNest, RejectsSchedulerOverrun) {
   LoopNest inner;
-  inner.body = test::addChain(2);
-  inner.body.setName("inner");
+  inner.body = test::renamed(test::addChain(2), "inner");
   inner.localTimeConstraint = 2;
   LoopNest outer;
   {
-    Dfg g("outer");
-    Node sp;
-    sp.kind = OpKind::LoopSuper;
-    sp.name = "inner";
-    g.addNode(sp);
-    outer.body = std::move(g);
+    Builder g("outer");
+    g.op(OpKind::LoopSuper, {}, "inner");
+    outer.body = std::move(g).build();
   }
   outer.children.push_back(std::move(inner));
   EXPECT_THROW(
@@ -180,8 +164,7 @@ TEST(FoldLoopNest, RejectsSchedulerOverrun) {
 
 TEST(FoldLoopNest, RejectsMissingPlaceholder) {
   LoopNest inner;
-  inner.body = test::addChain(1);
-  inner.body.setName("nameless");
+  inner.body = test::renamed(test::addChain(1), "nameless");
   inner.localTimeConstraint = 2;
   LoopNest outer;
   outer.body = test::addChain(1);  // no LoopSuper node at all

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sched/timeframes.h"
 #include "workloads/random_dfg.h"
 
@@ -135,7 +137,7 @@ TEST(RandomDfg, DeterministicPerSeed) {
   ASSERT_EQ(a.size(), b.size());
   for (dfg::NodeId i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.node(i).kind, b.node(i).kind);
-    EXPECT_EQ(a.node(i).inputs, b.node(i).inputs);
+    EXPECT_TRUE(std::ranges::equal(a.node(i).inputs, b.node(i).inputs));
   }
 }
 
@@ -150,7 +152,7 @@ TEST(RandomDfg, DifferentSeedsDiffer) {
   bool differ = ga.size() != gb.size();
   for (dfg::NodeId i = 0; !differ && i < ga.size(); ++i)
     differ = ga.node(i).kind != gb.node(i).kind ||
-             ga.node(i).inputs != gb.node(i).inputs;
+             !std::ranges::equal(ga.node(i).inputs, gb.node(i).inputs);
   EXPECT_TRUE(differ);
 }
 

@@ -122,10 +122,11 @@ BENCH_COMPARE_SKIP_TIME=1 "$repo/tools/bench-compare.sh" \
 # parallel per-step scan are exactly the code the sanitizers should chew
 # on; ctest above already ran the whole suite under ASan/UBSan, but run the
 # determinism tests once more explicitly at a high jobs count, plus the
-# verifiers' null-graph guards (a default Schedule/Datapath used to SEGV).
+# verifiers' null-graph guards (a default Schedule/Datapath used to SEGV),
+# the schedule lint on a cyclic graph, and the shared immutable graph core.
 echo "==== determinism and null-graph guards under ASan/UBSan"
 "$repo/build-ci-asan/tests/mframe_tests" \
-  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*:*NullGraph*:*Infeasib*:*FirstFit*:*ProbesStayLinear*' \
+  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*:*NullGraph*:*Infeasib*:*FirstFit*:*ProbesStayLinear*:*CyclicGraph*:Dfg.*:DfgCore*:DfgConcurrency*' \
   --gtest_brief=1
 
 echo "==== clang-tidy (warnings are errors)"

@@ -699,7 +699,7 @@ int runAnalyze(const Cli& cli, const dfg::Dfg& g) {
 
   if (cli.doFix) {
     const dfg::Dfg fixed = analysis::dataflow::applyFixes(g, r.dataflow);
-    if (const auto err = fixed.validate())
+    if (const auto& err = fixed.validate())
       die("analyze --fix produced an invalid graph: " + *err);
     std::fprintf(stderr, "%s", r.report.renderText().c_str());
     std::printf("%s", dfg::serialize(fixed).c_str());
